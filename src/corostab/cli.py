@@ -209,7 +209,7 @@ def _cmd_check(args):
     model = resolve_model(args)
     protocol = Protocol.for_model(args.protocol, model)
     value, closure = driving_stress(model, protocol, args.at)
-    mod, mod_log = incremental_moduli(model, protocol, args.at)
+    mod, mod_log = incremental_moduli(model, protocol, args.at, closure=closure)
     state = StretchState(args.at, closure.lam2, closure.lam3)
     lams = state.as_array()
     report = {

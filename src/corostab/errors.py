@@ -29,7 +29,3 @@ class SolverError(CorostabError):
     def __init__(self, message, scan=None):
         super().__init__(message)
         self.scan = scan
-
-
-class RangeError(CorostabError):
-    """A derivative stencil or sweep left the solvable parameter range."""

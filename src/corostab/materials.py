@@ -16,6 +16,11 @@ the published ones for each model; they coincide with the gradient of ghat
 for the Neo-Hooke and quadratic-Hencky models but the exponentiated-Hencky
 variant uses the Biot-type rule t_i = d g / d lambda_i.
 
+Incremental moduli, stability tangents and tension-extension margins all
+come from ``stress_jac``: the principal stress law s(x) (Cauchy if
+compressible, extra Kirchhoff if incompressible) together with its exact
+Jacobian G_ij = d s_i / d x_j.
+
 Energies are normalized so the reference state has zero energy; the shift
 does not affect any stress.
 """
@@ -129,7 +134,8 @@ class MaterialModel:
 
     Subclasses provide ``ghat``/``ghat_grad``/``ghat_hess`` on log-stretch
     arrays of shape (..., 3); incompressible ones additionally provide
-    ``extra_tau``.  All methods broadcast over leading axes.
+    ``extra_tau`` and its Jacobian ``extra_tau_jac``.  All methods broadcast
+    over leading axes.
     """
 
     kind: ClassVar[str]
@@ -145,6 +151,9 @@ class MaterialModel:
         raise NotImplementedError
 
     def extra_tau(self, x):
+        raise UsageError(f"model '{self.kind}' is compressible; no extra stress")
+
+    def extra_tau_jac(self, x):
         raise UsageError(f"model '{self.kind}' is compressible; no extra stress")
 
     @property
@@ -168,6 +177,20 @@ class MaterialModel:
         x = np.asarray(x, dtype=float)
         s = np.sum(x, axis=-1)
         return self.kirchhoff_principal(x) * np.exp(-s)[..., None]
+
+    def stress_jac(self, x):
+        """Principal stress law s(x) and its Jacobian G_ij = d s_i / d x_j,
+        shapes (..., 3) and (..., 3, 3).
+
+        Compressible: s is the Cauchy stress sigma = tau / J and
+        G = J^-1 (H - tau (x) 1) with tau = ghat_grad, H = ghat_hess (the
+        -tau_i term is d(1/J)/dx_j = -1/J).  Incompressible models override
+        this with the extra stress and ``extra_tau_jac``.
+        """
+        x = np.asarray(x, dtype=float)
+        tau = self.kirchhoff_principal(x)
+        inv_J = np.exp(-np.sum(x, axis=-1))[..., None]
+        return tau * inv_J, inv_J[..., None] * (self.ghat_hess(x) - tau[..., :, None])
 
     def parameters(self) -> dict:
         raise NotImplementedError
@@ -357,7 +380,19 @@ class NeoHookeVolIso(MaterialModel):
 
 
 class _IncompressibleModel(MaterialModel):
+    """Extra stress t = ghat_grad with Jacobian ghat_hess unless a model
+    publishes another rule."""
+
     incompressible: ClassVar[bool] = True
+
+    def extra_tau(self, x):
+        return self.ghat_grad(x)
+
+    def extra_tau_jac(self, x):
+        return self.ghat_hess(x)
+
+    def stress_jac(self, x):
+        return self.extra_tau(x), self.extra_tau_jac(x)
 
     @property
     def young(self):
@@ -391,9 +426,6 @@ class NeoHookeIncompressible(_IncompressibleModel):
         h[..., 0, 0], h[..., 1, 1], h[..., 2, 2] = b[..., 0], b[..., 1], b[..., 2]
         return h
 
-    def extra_tau(self, x):
-        return self.ghat_grad(x)
-
     def parameters(self):
         return {"mu": self.mu}
 
@@ -420,9 +452,6 @@ class QuadraticHenckyIncompressible(_IncompressibleModel):
     def ghat_hess(self, x):
         x = np.asarray(x, dtype=float)
         return 2.0 * self.mu * _eye33(x)
-
-    def extra_tau(self, x):
-        return self.ghat_grad(x)
 
     def parameters(self):
         return {"mu": self.mu}
@@ -471,6 +500,17 @@ class ExponentiatedHenckyIncompressible(_IncompressibleModel):
         x = np.asarray(x, dtype=float)
         q = np.sum(x * x, axis=-1)
         return 2.0 * self.mu * x * np.exp(-x) * np.exp(self.k * q)[..., None]
+
+    def extra_tau_jac(self, x):
+        # t_i = 2 mu w_i exp(k q) with w_i = x_i exp(-x_i), w_i' = (1 - x_i) exp(-x_i)
+        x = np.asarray(x, dtype=float)
+        e = np.exp(-x)
+        q = np.sum(x * x, axis=-1)
+        pre = 2.0 * self.mu * np.exp(self.k * q)[..., None, None]
+        return pre * (
+            ((1.0 - x) * e)[..., :, None] * _eye33(x)
+            + 2.0 * self.k * (x * e)[..., :, None] * x[..., None, :]
+        )
 
     def parameters(self):
         return {"mu": self.mu, "k": self.k}

@@ -9,7 +9,9 @@ from the reference stretch so every solve is warm-started by continuation.
 
 The driving stress is the principal Cauchy stress sigma_1 for compressible
 protocols and the principal Kirchhoff stress tau_1 (equal to Cauchy at J = 1)
-for incompressible ones.
+for incompressible ones.  Its slope along the protocol path is exact: the
+implicit-function theorem through the traction-free constraint, with the
+stress Jacobian of ``MaterialModel.stress_jac``.
 """
 
 import io
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, RangeError, SolverError, UsageError
+from .errors import ConfigurationError, SolverError, UsageError
 from .materials import MaterialModel
 
 __all__ = [
@@ -100,11 +102,7 @@ def _residual_builder(model, kind, x1):
         return model.cauchy_principal(states(y))[..., free]
 
     def dr(y):
-        x = states(np.asarray(y, dtype=float))
-        s = np.sum(x, axis=-1)
-        tau = model.ghat_grad(x)
-        hess = model.ghat_hess(x)
-        dsig = np.exp(-s)[..., None] * (hess[..., free, :] - tau[..., free, None])
+        dsig = model.stress_jac(states(y))[1][..., free, :]
         if kind == "uniaxial":
             return dsig[..., 1] + dsig[..., 2]
         return dsig[..., free]
@@ -275,33 +273,57 @@ def driving_stress(model, protocol: Protocol, lam1, warm=None):
     return value, closure
 
 
-def incremental_moduli(model, protocol: Protocol, lam1, warm=None):
+# Rates of the log-stretches x along a protocol path, per unit log(lambda1).
+# Compressible: x = a x1 + b y with y the solved lateral log-stretch and
+# f the traction-free axis, sigma_f(x) = 0.  Incompressible: x = c x1 and the
+# driving stress is t_1 - t_f.
+_COMP_RATES = {
+    "uniaxial": ((1.0, 0.0, 0.0), (0.0, 1.0, 1.0), 1),
+    "equibiaxial": ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0), 2),
+    "planar": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1),
+    "hydrostatic": ((1.0, 1.0, 1.0), None, None),
+}
+_INCOMP_RATES = {"uniaxial": (1.0, -0.5, -0.5), "equibiaxial": (1.0, 1.0, -2.0),
+                 "planar": (1.0, -1.0, 0.0)}
+
+
+def _log_slopes(model, protocol, x):
+    """d(driving stress)/d(log lambda1) along the protocol path at solved
+    log-stretches x of shape (..., 3).
+
+    With G = d s / d x from ``stress_jac``, compressible paths hold the lateral
+    stress at zero, so the implicit-function theorem gives
+    dy/dx1 = -(G a)_f / (G b)_f and the slope (G a)_1 + (G b)_1 dy/dx1; for
+    uniaxial that is G11 - (G12 + G13) G21 / (G22 + G23).  Incompressible
+    paths have closed kinematics and slope (G c)_1 - (G c)_f.
+    """
+    G = model.stress_jac(x)[1]
+    if protocol.regime == "incompressible":
+        Gc = G @ np.array(_INCOMP_RATES[protocol.kind])
+        return Gc[..., 0] - Gc[..., _INCOMP_FREE[protocol.kind]]
+    a, b, f = _COMP_RATES[protocol.kind]
+    Ga = G @ np.array(a)
+    if b is None:
+        return Ga[..., 0]
+    Gb = G @ np.array(b)
+    return Ga[..., 0] - Gb[..., 0] * Ga[..., f] / Gb[..., f]
+
+
+def incremental_moduli(model, protocol: Protocol, lam1, closure=None):
     """Incremental modulus pair (slope form, log form) at lam1.
 
     modulus_incr = factor * d(driving stress)/d(lambda1) with the protocol's
-    multiplicity factor; modulus_incr_log multiplies by lambda1.  The slope is
-    a 5-point central stencil with one Richardson level, each stencil point
-    re-solving the closure warm-started from the centre solution.
+    multiplicity factor; modulus_incr_log = lambda1 * modulus_incr =
+    factor * d(driving stress)/d(log lambda1).  The slope is exact (see
+    ``_log_slopes``) at the closure of lam1: ``closure`` when the caller has
+    already solved it, otherwise one cold ``lateral_closure``.
     """
     _check_regime(model, protocol)
-    h = 1e-4 * max(1.0, lam1)
-    if lam1 - 2.0 * h <= 0.0:
-        raise RangeError(f"derivative stencil leaves lambda1 > 0 at lambda1 = {lam1}")
-    if warm is None:
-        _, closure = driving_stress(model, protocol, lam1)
-        warm = _lateral_of(protocol, closure, lam1)
-
-    def f(l):
-        return driving_stress(model, protocol, l, warm=warm)[0]
-
-    def d5(step):
-        return (f(lam1 - 2 * step) - 8 * f(lam1 - step) + 8 * f(lam1 + step) - f(lam1 + 2 * step)) / (
-            12.0 * step
-        )
-
-    slope = (16.0 * d5(h / 2) - d5(h)) / 15.0
-    factor = MODULUS_FACTOR[protocol.kind]
-    return factor * slope, factor * slope * lam1
+    if closure is None:
+        closure = lateral_closure(model, protocol, lam1)
+    x = np.log([lam1, closure.lam2, closure.lam3])
+    mod_log = MODULUS_FACTOR[protocol.kind] * float(_log_slopes(model, protocol, x))
+    return mod_log / lam1, mod_log
 
 
 @dataclass
@@ -384,13 +406,12 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
     drv = np.empty(n)
     biot = np.empty(n)
     en = np.empty(n)
-    mod = np.full(n, np.nan)
-    mod_log = np.full(n, np.nan)
+    xs = np.empty((n, 3))
     for i, lam1 in enumerate(grid):
         c = closures[i]
         lam1 = float(lam1)
         lat[i] = _lateral_of(protocol, c, lam1)
-        x = np.log([lam1, c.lam2, c.lam3])
+        x = xs[i] = np.log([lam1, c.lam2, c.lam3])
         if protocol.regime == "incompressible":
             t = model.extra_tau(x)
             drv[i] = t[0] - c.pressure
@@ -399,10 +420,12 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
             drv[i] = model.cauchy_principal(x)[0]
             biot[i] = c.lam2 * c.lam3 * drv[i]
         en[i] = model.energy([lam1, c.lam2, c.lam3])
-        if with_moduli:
-            mod[i], mod_log[i] = incremental_moduli(
-                model, protocol, lam1, warm=lat[i]
-            )
+    if with_moduli:
+        mod_log = MODULUS_FACTOR[protocol.kind] * _log_slopes(model, protocol, xs)
+        mod = mod_log / grid
+    else:
+        mod = np.full(n, np.nan)
+        mod_log = np.full(n, np.nan)
 
     return CurveTable(
         lambda1=grid,

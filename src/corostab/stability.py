@@ -16,11 +16,28 @@ Implemented conditions:
 * a region scanner aggregating all of the above on a stretch grid
   (``region_scan``).
 
-Tangents are assembled by central differences in log-strain space (step 1e-6,
-one Richardson level) and symmetrized explicitly, since the raw derivative
-need not be major-symmetric.  A condition counts as holding when its margin
-exceeds -1e-9; a violation is witnessed only below -1e-7, keeping
-finite-difference noise out of both verdicts.
+Tangents and margins are exact.  They come from the model's principal
+stress law s(x), x_i = log(lambda_i), and its Jacobian G = ds/dx
+(``MaterialModel.stress_jac``; s is Cauchy stress for compressible models,
+the extra Kirchhoff stress for incompressible ones).  Hill's principal-axis
+formula (Hill 1978, Adv. Appl. Mech. 18; Ogden, Non-linear Elastic
+Deformations, section 4) gives the tangent of s with respect to log V in the
+principal frame of V, in the orthonormal basis (11, 22, 33, 12, 23, 31) of
+``basis6``, as a block-diagonal matrix:
+
+* the normal block sym(G); G itself need not be symmetric (for Cauchy stress
+  G = J^-1 (H - tau (x) 1)) and only its symmetric part enters the
+  quadratic form;
+* one shear entry per axis pair, (s_i - s_j) / (x_i - x_j), replaced at
+  coincident stretches by its limit (G_ii - G_ij - G_ji + G_jj) / 2, which
+  is G_ii - G_ij there (see ``_COINCIDENT``).
+
+``TangentMatrix6.matrix`` is that block matrix rotated into the lab
+``basis6`` frame; for incompressible models it is restricted to the
+trace-free subspace spanned by ``dev_basis5``.  The tension-extension margin
+is min_i d sigma_i / d lambda_i = min_i G_ii / lambda_i.  A condition counts
+as holding when its margin exceeds -1e-9; a violation is witnessed only
+below -1e-7.
 """
 
 import io
@@ -32,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .materials import MaterialModel, StretchState, energy_from_F, principal_stresses
-from .tensor3 import basis6, eig_sym, inner, logm_spd, norm
+from .tensor3 import basis6, eig_sym, inner, logm_spd, norm, vec6
 
 __all__ = [
     "HOLD_MARGIN",
@@ -51,7 +68,15 @@ __all__ = [
 HOLD_MARGIN = -1e-9
 WITNESS_MARGIN = -1e-7
 
-_FD_STEP = 1e-6
+# A shear entry switches from the divided difference (s_i - s_j)/(x_i - x_j)
+# to its centred limit when |x_i - x_j| <= _COINCIDENT.  Cancellation costs
+# the divided difference about eps |s| / |x_i - x_j| (2e-10 of the stress
+# scale at the threshold); the centred limit is off by O((x_i - x_j)^2) times
+# the third derivative of s (2e-12 of it at the threshold).
+_COINCIDENT = 1e-6
+
+# basis6 slots 3, 4, 5 hold the shear pairs 12, 23, 31
+_SHEAR_PAIRS = ((0, 1), (1, 2), (2, 0))
 
 
 def dev_basis5():
@@ -61,6 +86,10 @@ def dev_basis5():
     d2 = np.diag([1.0, 1.0, -2.0]) / s6
     off = basis6()[3:]
     return (d1, d2) + tuple(off)
+
+
+# columns: basis6 coordinates of the dev_basis5 elements
+_DEV5 = np.stack([vec6(E) for E in dev_basis5()], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -90,25 +119,49 @@ def _principal_reconstruct(principal_fn, Y):
     return np.einsum("...ik,...k,...jk->...ij", Q, vals, Q)
 
 
-def _tangent_batch(principal_fn, Ys, basis):
-    """Symmetrized FD tangents of the stress law at each log V in ``Ys``.
+def _rotation6(Q):
+    """basis6 coordinates in the frame with columns Q -> lab basis6
+    coordinates, as a (..., 6, 6) orthogonal matrix."""
+    B = np.stack(basis6())
+    return np.swapaxes(vec6(np.einsum("...ik,bkl,...jl->...bij", Q, B, Q)), -1, -2)
 
-    Returns (N, m, m) with m = len(basis); column k is the directional
-    derivative along basis[k], Richardson-extrapolated from steps h and h/2.
+
+def _log_tangent(s, G, x, frame=None, deviatoric=False):
+    """Symmetrized tangent of the principal stress law s(x) with Jacobian G
+    with respect to log V, by Hill's principal-axis formula (module
+    docstring); batched over the leading axes of x (..., 3).
+
+    The result is in principal-frame basis6 coordinates, or in lab basis6
+    coordinates when ``frame`` holds the eigenvector columns of V;
+    ``deviatoric`` restricts it to dev_basis5 coordinates, (..., 5, 5).
     """
-    Ys = np.asarray(Ys, dtype=float)
-    N = Ys.shape[0]
-    B = np.stack(basis)
-    m = B.shape[0]
-    h = _FD_STEP
-    steps = np.array([h, -h, 0.5 * h, -0.5 * h])
-    pert = Ys[:, None, None, :, :] + steps[None, None, :, None, None] * B[None, :, None, :, :]
-    S = _principal_reconstruct(principal_fn, pert.reshape(-1, 3, 3)).reshape(N, m, 4, 3, 3)
-    d1 = (S[:, :, 0] - S[:, :, 1]) / (2.0 * h)
-    d2 = (S[:, :, 2] - S[:, :, 3]) / h
-    cols = (4.0 * d2 - d1) / 3.0  # (N, m, 3, 3)
-    M = np.einsum("nkab,iab->nik", cols, B)
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    M = np.zeros(x.shape[:-1] + (6, 6))
+    M[..., :3, :3] = 0.5 * (G + np.swapaxes(G, -1, -2))
+    for k, (i, j) in enumerate(_SHEAR_PAIRS, start=3):
+        dx = x[..., i] - x[..., j]
+        near = np.abs(dx) <= _COINCIDENT
+        limit = 0.5 * (G[..., i, i] - G[..., i, j] - G[..., j, i] + G[..., j, j])
+        M[..., k, k] = np.where(near, limit, (s[..., i] - s[..., j]) / np.where(near, 1.0, dx))
+    if frame is not None:
+        R = _rotation6(frame)
+        M = R @ M @ np.swapaxes(R, -1, -2)
+    if deviatoric:
+        M = _DEV5.T @ M @ _DEV5
+    return M
+
+
+def _te_margin(G, lams):
+    """Tension-extension margin min_i d sigma_i / d lambda_i with the other
+    stretches held, = min_i G_ii / lambda_i; batched over leading axes."""
+    return np.min(np.diagonal(G, axis1=-2, axis2=-1) / lams, axis=-1)
+
+
+def _log_frame(V):
+    """Log-stretches and eigenvector frame of a positive-definite V."""
+    d, Q = eig_sym(V)
+    if np.any(d[..., -1] <= 0.0):
+        raise DomainError("log V requires a positive-definite tensor")
+    return np.log(d), Q
 
 
 def tsts_tangent(model: MaterialModel, V) -> TangentMatrix6:
@@ -121,8 +174,8 @@ def tsts_tangent(model: MaterialModel, V) -> TangentMatrix6:
     """
     if model.incompressible:
         raise UsageError(f"model '{model.kind}' is incompressible; use hill_tangent")
-    Y = logm_spd(V)
-    M = _tangent_batch(model.cauchy_principal, Y[None], basis6())[0]
+    x, Q = _log_frame(V)
+    M = _log_tangent(*model.stress_jac(x), x, frame=Q)
     return TangentMatrix6(M, np.linalg.eigvalsh(M))
 
 
@@ -133,12 +186,12 @@ def hill_tangent(model: MaterialModel, V) -> TangentMatrix6:
     perturbations of log V stay on the det V = 1 manifold."""
     if not model.incompressible:
         raise UsageError(f"model '{model.kind}' is compressible; use tsts_tangent")
-    Y = logm_spd(V)
-    t = float(np.trace(Y))
+    x, Q = _log_frame(V)
+    t = float(np.sum(x))
     if abs(t) > 1e-8:
         raise DomainError(f"hill_tangent needs det V = 1, got log det V = {t}")
-    Y = Y - t / 3.0 * np.eye(3)
-    M = _tangent_batch(model.extra_tau, Y[None], dev_basis5())[0]
+    x = x - t / 3.0
+    M = _log_tangent(*model.stress_jac(x), x, frame=Q, deviatoric=True)
     return TangentMatrix6(M, np.linalg.eigvalsh(M))
 
 
@@ -189,8 +242,9 @@ def be_te_check(model, state: StretchState) -> BeTeResult:
 
     The ordered-force (Baker-Ericksen) margin is min over pairs with distinct
     stretches of (sigma_i - sigma_j)(lambda_i - lambda_j); vacuous pairs
-    contribute 0.  Tension-extension is d sigma_i / d lambda_i > 0 with the
-    other stretches held fixed, by central differences.
+    contribute 0.  The tension-extension margin is
+    min_i d sigma_i / d lambda_i = min_i G_ii / lambda_i with the other
+    stretches held fixed and G = d sigma / d x the exact stress Jacobian.
     """
     if model.incompressible:
         raise UsageError(
@@ -206,16 +260,7 @@ def be_te_check(model, state: StretchState) -> BeTeResult:
                 v = (sig[i] - sig[j]) * (lams[i] - lams[j])
                 be_margin = v if not found else min(be_margin, v)
                 found = True
-    te_margin = math.inf
-    for i in range(3):
-        h = 1e-6 * max(1.0, lams[i])
-        lp, lm = lams.copy(), lams.copy()
-        lp[i] += h
-        lm[i] -= h
-        xp, xm = np.log(lp), np.log(lm)
-        dp = model.cauchy_principal(xp)[i]
-        dm = model.cauchy_principal(xm)[i]
-        te_margin = min(te_margin, (dp - dm) / (2.0 * h))
+    te_margin = _te_margin(model.stress_jac(state.log())[1], lams)
     return BeTeResult(
         be_ok=be_margin > HOLD_MARGIN,
         te_ok=te_margin > HOLD_MARGIN,
@@ -391,20 +436,6 @@ def _grid_states(grid):
     return idx, states
 
 
-def _batched_te_margin(model, states):
-    lams = np.asarray(states, dtype=float)
-    margins = np.full(len(lams), np.inf)
-    for i in range(3):
-        h = 1e-6 * np.maximum(1.0, lams[:, i])
-        lp, lm = lams.copy(), lams.copy()
-        lp[:, i] += h
-        lm[:, i] -= h
-        dp = model.cauchy_principal(np.log(lp))[:, i]
-        dm = model.cauchy_principal(np.log(lm))[:, i]
-        margins = np.minimum(margins, (dp - dm) / (2.0 * h))
-    return margins
-
-
 def _batched_be_margin(sig, lams):
     margins = np.zeros(len(lams))
     seen = np.zeros(len(lams), dtype=bool)
@@ -441,24 +472,19 @@ def region_scan(
     x = np.log(states)
     incomp = model.incompressible
 
+    # grid states are diagonal: the principal frame is the lab frame
     if incomp:
         xdev = x - np.mean(x, axis=-1, keepdims=True)
-        Ys = np.zeros((n_states, 3, 3))
-        Ys[:, [0, 1, 2], [0, 1, 2]] = xdev
-        M = _tangent_batch(model.extra_tau, Ys, dev_basis5())
-        csp_min = np.linalg.eigvalsh(M)[:, 0]
-        sig = model.extra_tau(xdev)  # pressure-free differences only
+        sig, G = model.stress_jac(xdev)  # pressure-free differences only
+        csp_min = np.linalg.eigvalsh(_log_tangent(sig, G, xdev, deviatoric=True))[:, 0]
         be = _batched_be_margin(sig, np.exp(xdev))
         te = np.full(n_states, np.nan)
         lh = np.full(n_states, np.nan)
     else:
-        Ys = np.zeros((n_states, 3, 3))
-        Ys[:, [0, 1, 2], [0, 1, 2]] = x
-        M = _tangent_batch(model.cauchy_principal, Ys, basis6())
-        csp_min = np.linalg.eigvalsh(M)[:, 0]
-        sig = model.cauchy_principal(x)
+        sig, G = model.stress_jac(x)
+        csp_min = np.linalg.eigvalsh(_log_tangent(sig, G, x))[:, 0]
         be = _batched_be_margin(sig, states)
-        te = _batched_te_margin(model, states)
+        te = _te_margin(G, states)
         m_dirs = max(2, math.isqrt(max(1, lh_samples)))
         dirs = _fibonacci_sphere(m_dirs)
         xi_i, eta_i = np.meshgrid(np.arange(m_dirs), np.arange(m_dirs), indexing="ij")
@@ -497,9 +523,8 @@ def region_scan(
     if incomp:
         tsts_vals = hill_vals.copy()
     else:
-        sig_p = model.cauchy_principal(x)
         tsts_vals = np.sum(
-            (sig_p[pair_idx[:, 0]] - sig_p[pair_idx[:, 1]]) * (x[pair_idx[:, 0]] - x[pair_idx[:, 1]]),
+            (sig[pair_idx[:, 0]] - sig[pair_idx[:, 1]]) * (x[pair_idx[:, 0]] - x[pair_idx[:, 1]]),
             axis=-1,
         )
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corostab
 from corostab.cli import main
 from corostab.protocols import CurveTable
 
@@ -226,10 +229,14 @@ def test_moduli_out_file(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as the tests, installed or not
+    src = str(Path(corostab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     proc = subprocess.run(
         [sys.executable, "-m", "corostab", "moduli", "--model", "quadratic_hencky",
          "--E", "1", "--nu", "0.3", "--protocol", "uniaxial", "--at", "1.0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["modulus_incr"] == pytest.approx(1.0, abs=1e-4)

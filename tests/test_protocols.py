@@ -3,7 +3,7 @@ import pytest
 
 from corostab import materials as mat
 from corostab import protocols as proto
-from corostab.errors import ConfigurationError, RangeError, SolverError, UsageError
+from corostab.errors import ConfigurationError, SolverError, UsageError
 from corostab.materials import instantiate_model
 from corostab.protocols import (
     CurveTable,
@@ -307,9 +307,15 @@ def test_modulus_positive_equivalence(qh):
     assert np.all(np.sign(tab.modulus_incr) == np.sign(tab.modulus_incr_log))
 
 
-def test_modulus_stencil_range_error(qh):
-    with pytest.raises(RangeError):
-        incremental_moduli(qh, protocol("uniaxial", qh), 1e-5)
+def test_modulus_exact_at_tiny_stretch(qh):
+    # the exact slope needs no stencil room below lambda1: the closed form
+    # E e^{-(1-2 nu) x} (1 - (1-2 nu) x) / lambda1 holds down to lambda1 = 1e-5
+    lam1, nu = 1e-5, 0.3
+    x = np.log(lam1)
+    closed = qh.young * np.exp(-(1 - 2 * nu) * x) * (1 - (1 - 2 * nu) * x) / lam1
+    mod, mod_log = incremental_moduli(qh, protocol("uniaxial", qh), lam1)
+    assert mod == pytest.approx(closed, rel=1e-9)
+    assert mod_log == pytest.approx(lam1 * closed, rel=1e-9)
 
 
 # --- CSV ------------------------------------------------------------------------

@@ -63,26 +63,38 @@ def test_tangent_usage_errors(catalog):
 
 # --- quadratic-form equivalence ---------------------------------------------------
 
-def test_quadratic_form_equivalence(compressible_models):
+def test_quadratic_form_equivalence(catalog):
     # <d/ds sigma(exp(log V + s H)), H> at 0 equals vec6(H)^T M vec6(H); the
-    # symmetrization only discards the skew part invisible to the form
+    # symmetrization only discards the skew part invisible to the form.
+    # Incompressible models: the extra stress on unimodular V along trace-free
+    # H, in dev_basis5 coordinates.
     rng = np.random.default_rng(40)
-    for m in compressible_models:
+    for m in catalog.values():
         for _ in range(10):
             V = random_spd(rng, scale=0.7)
             H = t3.sym(rng.standard_normal((3, 3)))
+            if m.incompressible:
+                V /= np.linalg.det(V) ** (1.0 / 3.0)
+                H -= np.trace(H) / 3.0 * np.eye(3)
+                tan = hill_tangent(m, V)
+                stress_of_B = mat.kirchhoff_extra_from_B
+            else:
+                tan = tsts_tangent(m, V)
+                stress_of_B = mat.cauchy_from_B
             H /= t3.norm(H)
-            tan = tsts_tangent(m, V)
             Y = t3.logm_spd(V)
             h = 1e-7
 
-            def sigma_at(s):
-                return mat.cauchy_from_B(m, t3.expm_sym(2.0 * (Y + s * H)))
+            def stress_at(s):
+                return stress_of_B(m, t3.expm_sym(2.0 * (Y + s * H)))
 
-            direct = t3.inner((sigma_at(h) - sigma_at(-h)) / (2 * h), H)
-            v = t3.vec6(H)
+            direct = t3.inner((stress_at(h) - stress_at(-h)) / (2 * h), H)
+            if m.incompressible:
+                v = np.array([t3.inner(H, E) for E in stab.dev_basis5()])
+            else:
+                v = t3.vec6(H)
             quad = float(v @ tan.matrix @ v)
-            assert direct == pytest.approx(quad, rel=1e-5, abs=1e-6)
+            assert direct == pytest.approx(quad, rel=1e-5, abs=1e-6), m.kind
 
 
 # --- positivity / violation landscapes --------------------------------------------
