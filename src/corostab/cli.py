@@ -31,7 +31,14 @@ import numpy as np
 
 from .errors import CorostabError, ConfigurationError, UsageError
 from .materials import MODEL_KINDS, StretchState, instantiate_model
-from .protocols import PROTOCOL_KINDS, Protocol, driving_stress, incremental_moduli, sweep
+from .protocols import (
+    PROTOCOL_KINDS,
+    Protocol,
+    _curve_rows,
+    incremental_moduli,
+    lateral_closure,
+    sweep,
+)
 from .rates import (
     csp_rate_form,
     energy_second_time_derivative,
@@ -41,6 +48,7 @@ from .rates import (
 )
 from .stability import (
     WITNESS_MARGIN,
+    _be_margin,
     be_te_check,
     hill_tangent,
     lh_ellipticity_probe,
@@ -180,7 +188,7 @@ def _json_line(payload):
 def _cmd_sweep(args):
     model = resolve_model(args)
     lam_min, lam_max, steps = _grid_triplet(args, "sweep")
-    protocol = Protocol.for_model(args.protocol, model)
+    protocol = Protocol(args.protocol)
     table = sweep(model, protocol, lam_min, lam_max, steps, with_moduli=not args.no_moduli)
     _emit(table.to_csv(), args.out)
     return 0
@@ -188,7 +196,7 @@ def _cmd_sweep(args):
 
 def _cmd_moduli(args):
     model = resolve_model(args)
-    protocol = Protocol.for_model(args.protocol, model)
+    protocol = Protocol(args.protocol)
     mod, mod_log = incremental_moduli(model, protocol, args.at)
     _emit(
         _json_line(
@@ -207,9 +215,9 @@ def _cmd_moduli(args):
 
 def _cmd_check(args):
     model = resolve_model(args)
-    protocol = Protocol.for_model(args.protocol, model)
-    value, closure = driving_stress(model, protocol, args.at)
-    mod, mod_log = incremental_moduli(model, protocol, args.at, closure=closure)
+    protocol = Protocol(args.protocol)
+    closure = lateral_closure(model, protocol, args.at)
+    row = _curve_rows(model, protocol, [args.at], [closure])
     state = StretchState(args.at, closure.lam2, closure.lam3)
     lams = state.as_array()
     report = {
@@ -218,25 +226,19 @@ def _cmd_check(args):
         "lambda1": args.at,
         "state": [float(v) for v in lams],
         "pressure": closure.pressure,
-        "stress_driving": value,
-        "stress_biot": value / args.at if model.incompressible else closure.lam2 * closure.lam3 * value,
-        "energy": float(model.energy(lams)),
-        "modulus_incr": mod,
-        "modulus_incr_log": mod_log,
+        "stress_driving": float(row.stress_driving[0]),
+        "stress_biot": float(row.stress_biot[0]),
+        "energy": float(row.energy[0]),
+        "modulus_incr": float(row.modulus_incr[0]),
+        "modulus_incr_log": float(row.modulus_incr_log[0]),
     }
     violations = []
     if model.incompressible:
         tan = hill_tangent(model, np.diag(lams))
-        x = np.log(lams)
-        t = model.extra_tau(x)
-        be = min(
-            ((t[i] - t[j]) * (lams[i] - lams[j])
-             for i in range(3) for j in range(i + 1, 3) if lams[i] != lams[j]),
-            default=0.0,
-        )
+        be = float(_be_margin(model.extra_tau(np.log(lams)), lams))
         stability = {
             "tangent_min_eig": tan.min_eigenvalue,
-            "be_margin": float(be),
+            "be_margin": be,
             "te_margin": None,
             "lh_min_probe": None,
         }
@@ -273,7 +275,10 @@ def _json_out_path(csv_path):
 
 def _cmd_scan(args):
     model = resolve_model(args)
-    grid = _grid_triplet(args, "scan") if (args.grid or args.lambda_min is not None) else (0.5, 3.0, 11)
+    ranged = args.grid or any(
+        v is not None for v in (args.lambda_min, args.lambda_max, args.steps)
+    )
+    grid = _grid_triplet(args, "scan") if ranged else (0.5, 3.0, 11)
     report = region_scan(model, grid=grid, seed=args.seed, pairs=args.pairs)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -289,6 +294,8 @@ def _cmd_scan(args):
 
 
 def _cmd_rate_verify(args):
+    if args.cases < 1:
+        raise UsageError(f"--cases must be at least 1, got {args.cases}")
     model = resolve_model(args)
     if model.incompressible:
         raise UsageError(

@@ -11,7 +11,7 @@ class InvalidInputError(CorostabError):
 
 class DomainError(CorostabError):
     """Mathematically valid input outside the operation's domain (e.g. log of
-    a non-positive-definite tensor, cofactor of a singular matrix)."""
+    a non-positive-definite tensor)."""
 
 
 class ConfigurationError(CorostabError):

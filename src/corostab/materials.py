@@ -359,18 +359,6 @@ class NeoHookeVolIso(MaterialModel):
         vol = (self.kappa * (2.0 * J * J - J))[..., None, None] * _ones33(x)
         return iso + vol
 
-    def cauchy_tensor_from_B(self, B):
-        """Closed tensor form mu * det(B)^(-5/6) dev(B) + kappa (sqrt(det B) - 1) I."""
-        B = np.asarray(B, dtype=float)
-        detB = np.linalg.det(B)
-        if np.any(detB <= 0.0):
-            raise DomainError("B must be positive definite")
-        devB = B - np.trace(B, axis1=-2, axis2=-1)[..., None, None] / 3.0 * np.eye(3)
-        return (
-            self.mu * detB[..., None, None] ** (-5.0 / 6.0) * devB
-            + (self.kappa * (np.sqrt(detB) - 1.0))[..., None, None] * np.eye(3)
-        )
-
     def parameters(self):
         return {"mu": self.mu, "kappa": self.kappa}
 

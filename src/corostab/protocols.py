@@ -1,27 +1,35 @@
 """Homogeneous test protocols: uniaxial, equibiaxial, planar and hydrostatic
 tension, for compressible and incompressible response.
 
-Compressible protocols enforce traction-free lateral faces by solving the
-lateral-stress root problem numerically (bracketing scan in log-stretch space,
-bisection, Newton polish).  Incompressible protocols have closed kinematics;
-the pressure is fixed by the traction-free direction.  Sweeps march outward
-from the reference stretch so every solve is warm-started by continuation.
+A ``Protocol`` names only the kind of test; whether its response is
+compressible or incompressible comes from the model
+(``MaterialModel.incompressible``).  Compressible protocols enforce
+traction-free lateral faces by solving the lateral-stress root problem
+numerically (bracketing scan in log-stretch space, bisection, Newton polish).
+Incompressible protocols have closed kinematics; the pressure is fixed by the
+traction-free direction, and hydrostatic tension is rejected there.  Sweeps
+march outward from the reference stretch so every solve is warm-started by
+continuation.
 
 The driving stress is the principal Cauchy stress sigma_1 for compressible
 protocols and the principal Kirchhoff stress tau_1 (equal to Cauchy at J = 1)
 for incompressible ones.  Its slope along the protocol path is exact: the
 implicit-function theorem through the traction-free constraint, with the
 stress Jacobian of ``MaterialModel.stress_jac``.
+
+Every per-state quantity of a curve (lateral stretch, driving and Biot
+stress, energy, incremental moduli) comes from one batched evaluation at
+already-solved closures, ``_curve_rows``; ``sweep`` calls it on the whole
+grid and the single-state functions on one row.
 """
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, SolverError, UsageError
-from .materials import MaterialModel
 
 __all__ = [
     "CurveTable",
@@ -52,22 +60,10 @@ _SCAN_POINTS = 64
 @dataclass(frozen=True)
 class Protocol:
     kind: str
-    regime: str
 
     def __post_init__(self):
         if self.kind not in PROTOCOL_KINDS:
             raise ConfigurationError(f"unknown protocol '{self.kind}'")
-        if self.regime not in ("compressible", "incompressible"):
-            raise ConfigurationError(f"unknown regime '{self.regime}'")
-        if self.kind == "hydrostatic" and self.regime == "incompressible":
-            raise UsageError(
-                "hydrostatic tension is kinematically impossible at J = 1 "
-                "with equal stretches"
-            )
-
-    @classmethod
-    def for_model(cls, kind: str, model: MaterialModel) -> "Protocol":
-        return cls(kind, "incompressible" if model.incompressible else "compressible")
 
 
 @dataclass(frozen=True)
@@ -191,6 +187,11 @@ _INCOMP_FREE = {"uniaxial": 1, "equibiaxial": 2, "planar": 1}
 
 
 def _incompressible_kinematics(kind, lam1):
+    if kind == "hydrostatic":
+        raise UsageError(
+            "hydrostatic tension is kinematically impossible at J = 1 "
+            "with equal stretches"
+        )
     if kind == "uniaxial":
         return lam1 ** -0.5, lam1 ** -0.5
     if kind == "equibiaxial":
@@ -207,8 +208,7 @@ def lateral_closure(model, protocol: Protocol, lam1, warm=None) -> LateralSoluti
     """
     if lam1 <= 0.0 or not np.isfinite(lam1):
         raise ConfigurationError(f"driving stretch must be positive, got {lam1}")
-    _check_regime(model, protocol)
-    if protocol.regime == "incompressible":
+    if model.incompressible:
         lam2, lam3 = _incompressible_kinematics(protocol.kind, lam1)
         x = np.log([lam1, lam2, lam3])
         t = model.extra_tau(x)
@@ -243,34 +243,17 @@ def lateral_closure(model, protocol: Protocol, lam1, warm=None) -> LateralSoluti
     return LateralSolution(lam2=lat, lam3=1.0, residual=res, candidates=cands)
 
 
-def _check_regime(model, protocol):
-    want = "incompressible" if model.incompressible else "compressible"
-    if protocol.regime != want:
-        raise UsageError(
-            f"protocol regime '{protocol.regime}' does not match {want} model "
-            f"'{model.kind}'"
-        )
-
-
-def _lateral_of(protocol, closure, lam1):
-    if protocol.kind == "equibiaxial":
-        return closure.lam3
-    if protocol.kind == "hydrostatic":
-        return lam1
-    return closure.lam2
+def _lateral_of(protocol, closure):
+    """The non-driven stretch of a closure."""
+    return closure.lam3 if protocol.kind == "equibiaxial" else closure.lam2
 
 
 def driving_stress(model, protocol: Protocol, lam1, warm=None):
     """Driving stress and its closure at lam1: Cauchy sigma_1 for compressible
     protocols, Kirchhoff tau_1 for incompressible ones."""
     closure = lateral_closure(model, protocol, lam1, warm=warm)
-    x = np.log([lam1, closure.lam2, closure.lam3])
-    if protocol.regime == "incompressible":
-        t = model.extra_tau(x)
-        value = float(t[0] - closure.pressure)
-    else:
-        value = float(model.cauchy_principal(x)[0])
-    return value, closure
+    row = _curve_rows(model, protocol, [lam1], [closure], with_moduli=False)
+    return float(row.stress_driving[0]), closure
 
 
 # Rates of the log-stretches x along a protocol path, per unit log(lambda1).
@@ -298,7 +281,7 @@ def _log_slopes(model, protocol, x):
     paths have closed kinematics and slope (G c)_1 - (G c)_f.
     """
     G = model.stress_jac(x)[1]
-    if protocol.regime == "incompressible":
+    if model.incompressible:
         Gc = G @ np.array(_INCOMP_RATES[protocol.kind])
         return Gc[..., 0] - Gc[..., _INCOMP_FREE[protocol.kind]]
     a, b, f = _COMP_RATES[protocol.kind]
@@ -318,12 +301,10 @@ def incremental_moduli(model, protocol: Protocol, lam1, closure=None):
     ``_log_slopes``) at the closure of lam1: ``closure`` when the caller has
     already solved it, otherwise one cold ``lateral_closure``.
     """
-    _check_regime(model, protocol)
     if closure is None:
         closure = lateral_closure(model, protocol, lam1)
-    x = np.log([lam1, closure.lam2, closure.lam3])
-    mod_log = MODULUS_FACTOR[protocol.kind] * float(_log_slopes(model, protocol, x))
-    return mod_log / lam1, mod_log
+    row = _curve_rows(model, protocol, [lam1], [closure])
+    return float(row.modulus_incr[0]), float(row.modulus_incr_log[0])
 
 
 @dataclass
@@ -338,7 +319,6 @@ class CurveTable:
     energy: np.ndarray
     modulus_incr: np.ndarray
     modulus_incr_log: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -356,10 +336,6 @@ class CurveTable:
             buf.write(",".join(repr(float(v)) for v in row) + "\n")
         return buf.getvalue()
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
     @classmethod
     def from_csv(cls, text: str) -> "CurveTable":
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -368,6 +344,35 @@ class CurveTable:
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
         arr = np.array(rows, dtype=float).reshape(len(rows), 7)
         return cls(*(arr[:, i].copy() for i in range(7)))
+
+
+def _curve_rows(model, protocol, lam1s, closures, with_moduli=True) -> CurveTable:
+    """Every curve column at driving stretches lam1s and their solved
+    closures, in one batched evaluation.  The modulus columns are NaN unless
+    ``with_moduli``."""
+    lam1 = np.asarray(lam1s, dtype=float)
+    lams = np.array([(l1, c.lam2, c.lam3) for l1, c in zip(lam1, closures)])
+    x = np.log(lams)
+    if model.incompressible:
+        drv = model.extra_tau(x)[:, 0] - np.array([c.pressure for c in closures])
+        biot = drv / lam1
+    else:
+        drv = model.cauchy_principal(x)[:, 0]
+        biot = lams[:, 1] * lams[:, 2] * drv
+    if with_moduli:
+        mod_log = MODULUS_FACTOR[protocol.kind] * _log_slopes(model, protocol, x)
+        mod = mod_log / lam1
+    else:
+        mod, mod_log = np.full((2, len(lam1)), np.nan)
+    return CurveTable(
+        lambda1=lam1,
+        lambda_lateral=np.array([_lateral_of(protocol, c) for c in closures]),
+        stress_driving=drv,
+        stress_biot=biot,
+        energy=model.energy(lams),
+        modulus_incr=mod,
+        modulus_incr_log=mod_log,
+    )
 
 
 def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) -> CurveTable:
@@ -381,7 +386,6 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
         raise ConfigurationError(f"need 0 < lam_min < lam_max, got ({lam_min}, {lam_max})")
     if steps < 2:
         raise ConfigurationError(f"need steps >= 2, got {steps}")
-    _check_regime(model, protocol)
 
     grid = list(np.linspace(lam_min, lam_max, int(steps)))
     if lam_min < 1.0 < lam_max and not any(abs(g - 1.0) < 1e-12 for g in grid):
@@ -400,46 +404,5 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
             except SolverError as exc:
                 raise SolverError(f"sweep failed at lambda1 = {grid[i]}: {exc}") from exc
             closures[i] = closure
-            warm = _lateral_of(protocol, closure, float(grid[i]))
-
-    lat = np.empty(n)
-    drv = np.empty(n)
-    biot = np.empty(n)
-    en = np.empty(n)
-    xs = np.empty((n, 3))
-    for i, lam1 in enumerate(grid):
-        c = closures[i]
-        lam1 = float(lam1)
-        lat[i] = _lateral_of(protocol, c, lam1)
-        x = xs[i] = np.log([lam1, c.lam2, c.lam3])
-        if protocol.regime == "incompressible":
-            t = model.extra_tau(x)
-            drv[i] = t[0] - c.pressure
-            biot[i] = drv[i] / lam1
-        else:
-            drv[i] = model.cauchy_principal(x)[0]
-            biot[i] = c.lam2 * c.lam3 * drv[i]
-        en[i] = model.energy([lam1, c.lam2, c.lam3])
-    if with_moduli:
-        mod_log = MODULUS_FACTOR[protocol.kind] * _log_slopes(model, protocol, xs)
-        mod = mod_log / grid
-    else:
-        mod = np.full(n, np.nan)
-        mod_log = np.full(n, np.nan)
-
-    return CurveTable(
-        lambda1=grid,
-        lambda_lateral=lat,
-        stress_driving=drv,
-        stress_biot=biot,
-        energy=en,
-        modulus_incr=mod,
-        modulus_incr_log=mod_log,
-        metadata={
-            "model": model.kind,
-            "parameters": model.parameters(),
-            "protocol": protocol.kind,
-            "regime": protocol.regime,
-            "grid": [float(lam_min), float(lam_max), int(steps)],
-        },
-    )
+            warm = _lateral_of(protocol, closure)
+    return _curve_rows(model, protocol, grid, closures, with_moduli)

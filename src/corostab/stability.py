@@ -34,8 +34,11 @@ principal frame of V, in the orthonormal basis (11, 22, 33, 12, 23, 31) of
 
 ``TangentMatrix6.matrix`` is that block matrix rotated into the lab
 ``basis6`` frame; for incompressible models it is restricted to the
-trace-free subspace spanned by ``dev_basis5``.  The tension-extension margin
-is min_i d sigma_i / d lambda_i = min_i G_ii / lambda_i.  A condition counts
+trace-free subspace spanned by ``dev_basis5``.  The ordered-force margin
+is the minimum over pairs with distinct stretches of
+(s_i - s_j)(lambda_i - lambda_j), from one batched function for every
+caller.  The tension-extension margin is
+min_i d sigma_i / d lambda_i = min_i G_ii / lambda_i.  A condition counts
 as holding when its margin exceeds -1e-9; a violation is witnessed only
 below -1e-7.
 """
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import ConfigurationError, DomainError, UsageError
 from .materials import MaterialModel, StretchState, energy_from_F, principal_stresses
 from .tensor3 import basis6, eig_sym, inner, logm_spd, norm, vec6
 
@@ -150,6 +153,20 @@ def _log_tangent(s, G, x, frame=None, deviatoric=False):
     return M
 
 
+def _be_margin(s, lams):
+    """Ordered-force (Baker-Ericksen) margin, the minimum over pairs with
+    distinct stretches of (s_i - s_j)(lambda_i - lambda_j), 0 when every pair
+    is vacuous; batched over leading axes."""
+    margin = np.zeros(lams.shape[:-1])
+    seen = np.zeros(lams.shape[:-1], dtype=bool)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        distinct = lams[..., i] != lams[..., j]
+        v = (s[..., i] - s[..., j]) * (lams[..., i] - lams[..., j])
+        margin = np.where(distinct & (~seen | (v < margin)), v, margin)
+        seen = seen | distinct
+    return margin
+
+
 def _te_margin(G, lams):
     """Tension-extension margin min_i d sigma_i / d lambda_i with the other
     stretches held, = min_i G_ii / lambda_i; batched over leading axes."""
@@ -241,8 +258,8 @@ def be_te_check(model, state: StretchState) -> BeTeResult:
     """Ordered-force and tension-extension margins at a stretch state.
 
     The ordered-force (Baker-Ericksen) margin is min over pairs with distinct
-    stretches of (sigma_i - sigma_j)(lambda_i - lambda_j); vacuous pairs
-    contribute 0.  The tension-extension margin is
+    stretches of (sigma_i - sigma_j)(lambda_i - lambda_j), and 0 when all
+    three stretches are equal.  The tension-extension margin is
     min_i d sigma_i / d lambda_i = min_i G_ii / lambda_i with the other
     stretches held fixed and G = d sigma / d x the exact stress Jacobian.
     """
@@ -251,21 +268,13 @@ def be_te_check(model, state: StretchState) -> BeTeResult:
             f"model '{model.kind}' is incompressible; BE/TE need pointwise Cauchy stress"
         )
     lams = state.as_array()
-    sig = principal_stresses(model, state).cauchy
-    be_margin = 0.0
-    found = False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if lams[i] != lams[j]:
-                v = (sig[i] - sig[j]) * (lams[i] - lams[j])
-                be_margin = v if not found else min(be_margin, v)
-                found = True
-    te_margin = _te_margin(model.stress_jac(state.log())[1], lams)
+    be_margin = float(_be_margin(principal_stresses(model, state).cauchy, lams))
+    te_margin = float(_te_margin(model.stress_jac(state.log())[1], lams))
     return BeTeResult(
         be_ok=be_margin > HOLD_MARGIN,
         te_ok=te_margin > HOLD_MARGIN,
-        be_margin=float(be_margin),
-        te_margin=float(te_margin),
+        be_margin=be_margin,
+        te_margin=te_margin,
     )
 
 
@@ -436,19 +445,6 @@ def _grid_states(grid):
     return idx, states
 
 
-def _batched_be_margin(sig, lams):
-    margins = np.zeros(len(lams))
-    seen = np.zeros(len(lams), dtype=bool)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            mask = lams[:, i] != lams[:, j]
-            v = (sig[:, i] - sig[:, j]) * (lams[:, i] - lams[:, j])
-            upd = mask & (~seen | (v < margins))
-            margins = np.where(upd, v, margins)
-            seen |= mask
-    return margins
-
-
 def region_scan(
     model,
     grid=(0.5, 3.0, 11),
@@ -467,6 +463,13 @@ def region_scan(
     the Cauchy measure and, on det-normalized states, the Kirchhoff measure.
     Deterministic for a fixed grid and seed.
     """
+    lo, hi, n = grid
+    if not (math.isfinite(lo) and math.isfinite(hi) and min(lo, hi) > 0.0):
+        raise ConfigurationError(f"scan grid needs finite stretches > 0, got {lo}:{hi}")
+    if int(n) < 1:
+        raise ConfigurationError(f"scan grid needs at least 1 point per axis, got {n}")
+    if pairs < 0:
+        raise ConfigurationError(f"scan needs pairs >= 0, got {pairs}")
     idx, states = _grid_states(grid)
     n_states = len(states)
     x = np.log(states)
@@ -477,13 +480,13 @@ def region_scan(
         xdev = x - np.mean(x, axis=-1, keepdims=True)
         sig, G = model.stress_jac(xdev)  # pressure-free differences only
         csp_min = np.linalg.eigvalsh(_log_tangent(sig, G, xdev, deviatoric=True))[:, 0]
-        be = _batched_be_margin(sig, np.exp(xdev))
+        be = _be_margin(sig, np.exp(xdev))
         te = np.full(n_states, np.nan)
         lh = np.full(n_states, np.nan)
     else:
         sig, G = model.stress_jac(x)
         csp_min = np.linalg.eigvalsh(_log_tangent(sig, G, x))[:, 0]
-        be = _batched_be_margin(sig, states)
+        be = _be_margin(sig, states)
         te = _te_margin(G, states)
         m_dirs = max(2, math.isqrt(max(1, lh_samples)))
         dirs = _fibonacci_sphere(m_dirs)

@@ -1,11 +1,13 @@
-"""Symmetric 3x3 tensor algebra.
+"""Symmetric 3x3 tensor algebra: the spectral functions, inner product and
+six-component view that the stability and rate layers use.
 
 Symmetric tensors are carried as plain numpy arrays of shape (3, 3); the six
 independent entries are ordered (11, 22, 33, 12, 23, 31) wherever a component
-view is needed.  Spectral routines accept stacked input of shape (..., 3, 3).
+view is needed (``vec6``, ``basis6``).  Spectral routines accept stacked input
+of shape (..., 3, 3).
 """
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,25 +16,18 @@ from .errors import DomainError, InvalidInputError
 __all__ = [
     "EigenSystem3",
     "basis6",
-    "cof",
-    "det",
-    "dev",
     "eig_sym",
     "expm_sym",
-    "from_components",
     "inner",
     "logm_spd",
     "norm",
-    "primary",
     "sqrtm_spd",
     "sym",
     "skew",
-    "tr",
-    "unvec6",
     "vec6",
 ]
 
-# Component order shared by vec6/unvec6/from_components.
+# Component order shared by vec6 and basis6.
 _IDX = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))
 
 _SQRT2 = np.sqrt(2.0)
@@ -56,10 +51,6 @@ def skew(A):
     return 0.5 * (A - np.swapaxes(A, -1, -2))
 
 
-def from_components(a11, a22, a33, a12, a23, a31):
-    return np.array([[a11, a12, a31], [a12, a22, a23], [a31, a23, a33]], dtype=float)
-
-
 def _require_finite(A):
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("tensor has non-finite entries")
@@ -78,17 +69,6 @@ def eig_sym(A) -> EigenSystem3:
     _require_finite(A)
     d, Q = np.linalg.eigh(sym(A))
     return EigenSystem3(d[..., ::-1], Q[..., ::-1])
-
-
-def primary(A, f: Callable) -> np.ndarray:
-    """Apply the scale function f through the eigenvalues of symmetric A,
-    i.e. return ``Q diag(f(d)) Q^T``.  Basis-independent on degenerate
-    subspaces by construction."""
-    d, Q = eig_sym(A)
-    fd = np.asarray(f(d), dtype=float)
-    if not np.all(np.isfinite(fd)):
-        raise DomainError("scale function not finite at an eigenvalue")
-    return np.einsum("...ik,...k,...jk->...ij", Q, fd, Q)
 
 
 def _require_spd(d, what):
@@ -116,33 +96,14 @@ def sqrtm_spd(A):
     return np.einsum("...ik,...k,...jk->...ij", Q, np.sqrt(d), Q)
 
 
-def vec6(A, orthonormal: bool = True) -> np.ndarray:
-    """Six-component view of a symmetric tensor.
-
-    With ``orthonormal=True`` the off-diagonal slots carry sqrt(2) so the map
-    is an isometry: <A, B>_F == <vec6(A), vec6(B)>.  With ``orthonormal=False``
-    the raw components (a11, a22, a33, a12, a23, a31) are returned.
-    """
+def vec6(A) -> np.ndarray:
+    """Six-component view of a symmetric tensor, with sqrt(2) on the
+    off-diagonal slots so the map is an isometry:
+    <A, B>_F == <vec6(A), vec6(B)>."""
     A = np.asarray(A, dtype=float)
-    w = _SQRT2 if orthonormal else 1.0
-    comps = [A[..., i, j] for (i, j) in _IDX]
     return np.stack(
-        [comps[0], comps[1], comps[2], w * comps[3], w * comps[4], w * comps[5]],
-        axis=-1,
+        [A[..., i, j] if i == j else _SQRT2 * A[..., i, j] for (i, j) in _IDX], axis=-1
     )
-
-
-def unvec6(v, orthonormal: bool = True) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != 6:
-        raise InvalidInputError(f"expected (..., 6) array, got {v.shape}")
-    w = _SQRT2 if orthonormal else 1.0
-    A = np.zeros(v.shape[:-1] + (3, 3))
-    for k, (i, j) in enumerate(_IDX):
-        c = v[..., k] / (w if i != j else 1.0)
-        A[..., i, j] = c
-        A[..., j, i] = c
-    return A
 
 
 def basis6() -> tuple:
@@ -159,20 +120,6 @@ def basis6() -> tuple:
     return tuple(out)
 
 
-def tr(A) -> float:
-    return np.trace(np.asarray(A, dtype=float), axis1=-2, axis2=-1)
-
-
-def det(A) -> float:
-    return np.linalg.det(np.asarray(A, dtype=float))
-
-
-def dev(A):
-    A = np.asarray(A, dtype=float)
-    t = np.trace(A, axis1=-2, axis2=-1)
-    return A - t[..., None, None] / 3.0 * np.eye(3)
-
-
 def inner(A, B) -> float:
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -181,22 +128,3 @@ def inner(A, B) -> float:
 
 def norm(A) -> float:
     return np.sqrt(inner(A, A))
-
-
-def cof(X):
-    """Cofactor matrix, Cof(X) = det(X) X^{-T} for invertible X, computed from
-    2x2 minors so no inverse is formed."""
-    X = np.asarray(X, dtype=float)
-    _require_finite(X)
-    d = np.linalg.det(X)
-    scale = max(norm(X), 1.0)
-    if abs(d) <= 1e-14 * scale**3:
-        raise DomainError("cofactor of a (numerically) singular matrix")
-    C = np.empty_like(X)
-    for i in range(3):
-        for j in range(3):
-            mi = [k for k in range(3) if k != i]
-            mj = [k for k in range(3) if k != j]
-            minor = X[np.ix_(mi, mj)]
-            C[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
-    return C

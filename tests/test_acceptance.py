@@ -50,7 +50,7 @@ def test_ac1_quadratic_hencky_closed_form_curve():
     """Compressible uniaxial quadratic Hencky (E=1, nu=0.3): lateral stretch,
     driving stress and the modulus zero crossing against closed forms."""
     m = instantiate_model("quadratic_hencky", {"E": 1.0, "nu": 0.3})
-    table = sweep(m, Protocol.for_model("uniaxial", m), 0.5, 14.0, 200)
+    table = sweep(m, Protocol("uniaxial"), 0.5, 14.0, 200)
     lam = table.lambda1
     ok_lat = np.all(np.abs(table.lambda_lateral - lam**-0.3) <= 1e-8)
     ok_sig = _rel_ok(table.stress_driving, lam**-0.4 * np.log(lam), rtol=1e-7)
@@ -81,12 +81,12 @@ def test_ac2_incompressible_closed_forms():
     ok_mono = True
     for kind, (params, closed) in cases.items():
         m = instantiate_model(kind, params)
-        table = sweep(m, Protocol.for_model("uniaxial", m), 0.5, 3.0, 200, with_moduli=False)
+        table = sweep(m, Protocol("uniaxial"), 0.5, 3.0, 200, with_moduli=False)
         ok_form &= _rel_ok(table.stress_driving, closed(table.lambda1), rtol=1e-9)
         ok_mono &= bool(np.all(np.diff(table.stress_driving) > 0))
 
     mq = instantiate_model("quadratic_hencky_incompressible", {"E": 1.0})
-    tq = sweep(mq, Protocol.for_model("uniaxial", mq), 0.5, 3.0, 200, with_moduli=False)
+    tq = sweep(mq, Protocol("uniaxial"), 0.5, 3.0, 200, with_moduli=False)
     peak = tq.lambda1[int(np.argmax(tq.stress_biot))]
     ok_peak = abs(peak - np.e) <= np.max(np.diff(tq.lambda1))
     ok = _report("AC2", ok_form and ok_mono and ok_peak, f"Biot peak at {peak:.4f} vs e")
@@ -100,7 +100,7 @@ def test_ac3_exp_hencky_monotone_protocols():
     ok = True
     details = []
     for kind in ("uniaxial", "equibiaxial", "planar", "hydrostatic"):
-        table = sweep(m, Protocol.for_model(kind, m), 0.5, 4.0, 200)
+        table = sweep(m, Protocol(kind), 0.5, 4.0, 200)
         inc = bool(np.all(np.diff(table.stress_driving) > 0))
         pos = bool(np.all(table.modulus_incr > 0)) and bool(np.all(table.modulus_incr_log > 0))
         ok &= inc and pos
@@ -150,7 +150,7 @@ def test_ac5_small_strain_limit(catalog):
 
     ok_mod = True
     for m in catalog.values():
-        mod, _ = incremental_moduli(m, Protocol.for_model("uniaxial", m), 1.0)
+        mod, _ = incremental_moduli(m, Protocol("uniaxial"), 1.0)
         ok_mod &= abs(mod - m.young) <= 1e-4
     exp_young = catalog["exp_hencky"].young
     nh_young = catalog["neo_hooke_incompressible"].young

@@ -176,6 +176,45 @@ def test_unsolvable_closure_names_stretch(capsys):
     assert "lambda1 = 500000000000.5" in err
 
 
+@pytest.mark.parametrize("flags,what", [
+    (("--grid", "0.5:3:-1"), "at least 1 point"),
+    (("--grid", "0:3:3"), "stretches > 0"),
+    (("--grid", "0.5:3:5", "--pairs", "-1"), "pairs >= 0"),
+], ids=["negative-count", "zero-stretch", "negative-pairs"])
+def test_scan_rejects_bad_grid_and_pairs(capsys, flags, what):
+    code, out, err = run_cli(capsys, "scan", *QH, *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("corostab: error:") and what in err
+
+
+def test_scan_small_valid_stretches_pass_validation(capsys):
+    code, out, _ = run_cli(capsys, "scan", *QH, "--grid", "0.01:0.02:2", "--pairs", "4")
+    assert code == 0
+    assert json.loads(out)["counts"]["states"] == 8
+    # 0.01:3:5 is valid input too: whatever the scan makes of it, the grid
+    # check must not be what stops it
+    _, _, err = run_cli(capsys, "scan", *QH, "--grid", "0.01:3:5")
+    assert "scan grid" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--lambda-max", "2", "--steps", "3"),
+    ("--lambda-min", "0.5", "--lambda-max", "2"),
+    ("--steps", "3",),
+], ids=["no-min", "no-steps", "steps-only"])
+def test_scan_partial_range_is_usage_error(capsys, flags):
+    code, out, err = run_cli(capsys, "scan", *QH, *flags)
+    assert code == 1 and out == ""
+    assert "--lambda-min" in err
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_rate_verify_rejects_no_cases(capsys, cases):
+    code, out, err = run_cli(capsys, "rate-verify", *QH, "--cases", cases)
+    assert code == 1 and out == ""
+    assert "--cases" in err
+
+
 def test_hydrostatic_incompressible_cli(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--model", "neo_hooke_incompressible", "--mu", "1",

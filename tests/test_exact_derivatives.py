@@ -65,7 +65,7 @@ def richardson_slope(f, x0, h):
 @given(lam1=st.floats(0.3, 4.0))
 def test_modulus_matches_richardson_fd(kind, proto, lam1):
     m = MODELS[kind]
-    p = Protocol.for_model(proto, m)
+    p = Protocol(proto)
     value, closure = driving_stress(m, p, lam1)
     warm = {"equibiaxial": closure.lam3, "hydrostatic": lam1}.get(proto, closure.lam2)
 

@@ -1,10 +1,14 @@
-"""Sweep output against CSV frozen before the moduli became exact.
+"""CLI output against files frozen in ``data/golden``, one case per model
+kind.
 
-The files in ``data/golden`` were written by ``corostab sweep`` with the
-arguments below at commit 822703a, the last one that took the modulus from a
-5-point Richardson stencil.  Exact moduli must leave every other column
-byte-identical and move the modulus columns only within the stencil's own
-error.
+The sweep CSVs were written by ``corostab sweep`` with the arguments below at
+commit 822703a, the last one that took the modulus from a 5-point Richardson
+stencil.  Exact moduli must leave every other column byte-identical and move
+the modulus columns only within the stencil's own error.
+
+The ``check`` and ``moduli`` JSON lines and the ``scan`` JSON summaries were
+written at commit 62853e8, before the per-state quantities were collapsed
+onto one batched evaluation path; that change must not move a byte.
 """
 
 from pathlib import Path
@@ -45,3 +49,23 @@ def test_sweep_matches_golden_csv(kind, params, protocol, lo, hi, tmp_path):
         np.testing.assert_allclose(
             [float(v) for v in g[N_EXACT:]], [float(v) for v in w[N_EXACT:]], rtol=1e-9, atol=0
         )
+
+
+@pytest.mark.parametrize("kind,params,protocol,lo,hi", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("command,at", [("check", "2.5"), ("moduli", "0.7")])
+def test_state_json_matches_golden(kind, params, protocol, lo, hi, command, at, tmp_path):
+    out = tmp_path / "state.json"
+    argv = [command, "--model", kind, *params, "--protocol", protocol, "--at", at,
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / f"{kind}-{protocol}-{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind,params,protocol,lo,hi", CASES, ids=[c[0] for c in CASES])
+def test_scan_summary_matches_golden(kind, params, protocol, lo, hi, tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--model", kind, *params, "--grid", "0.5:3:5", "--pairs", "16",
+            "--out", str(out)]
+    assert main(argv) == 0
+    got = (tmp_path / "scan.json").read_bytes()
+    assert got == (GOLDEN / f"{kind}-scan.json").read_bytes()

@@ -1,0 +1,78 @@
+"""Static checks over the package sources with the stdlib ``ast`` module.
+
+Every name a module exports through ``__all__`` must be bound at its top
+level, and every name a module imports must be used in it (or re-exported
+through ``__all__``).  Deleting a function leaves both kinds of stale name
+behind, and no linter ships with the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import corostab
+
+SOURCES = sorted(Path(corostab.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(node):
+    for alias in node.names:
+        if isinstance(node, ast.Import):
+            yield alias.asname or alias.name.split(".")[0]
+        elif alias.name != "*":
+            yield alias.asname or alias.name
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_imported_names(node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "protocols.py", "tensor3.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_all_names_resolve(path):
+    tree = _tree(path)
+    exports = _exports(tree)
+    assert len(exports) == len(set(exports)), "duplicate names in __all__"
+    missing = sorted(set(exports) - _top_level_names(tree))
+    assert not missing, f"{path.name}: __all__ names not defined: {missing}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= set(_exports(tree))
+    imported = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported_names(node)
+    }
+    unused = sorted(imported - used)
+    assert not unused, f"{path.name}: unused imports {unused}"

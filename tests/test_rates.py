@@ -159,7 +159,7 @@ def test_csp_rate_form_exp_hencky_closure_path(catalog):
     # uniaxial closure path lambda1(t) = 1 + t; lateral derivatives by finite
     # differences of the closure
     model = catalog["exp_hencky"]
-    p = Protocol.for_model("uniaxial", model)
+    p = Protocol("uniaxial")
 
     def lat(l1):
         return lateral_closure(model, p, l1).lam2
@@ -238,10 +238,19 @@ def test_power_identity_random_motions(catalog):
             assert res <= 1e-8 * max(1.0, abs(lhs))
 
 
+def cof(X):
+    """Cofactor matrix from 2x2 minors, Cof(X) = det(X) X^-T without an
+    inverse: the oracle for the first Piola stress S1 = sigma Cof F."""
+    C = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            m = X[np.ix_([k for k in range(3) if k != i], [k for k in range(3) if k != j])]
+            C[i, j] = (-1) ** (i + j) * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    return C
+
+
 def test_first_piola_matches_analytic(catalog):
     # S1 = sigma Cof F cross-check against the FD construction
-    from corostab.tensor3 import cof
-
     rng = np.random.default_rng(56)
     for _ in range(10):
         m = random_general_motion(rng)

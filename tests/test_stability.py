@@ -236,7 +236,7 @@ def test_te_failure_matches_negative_modulus(catalog):
     from corostab.protocols import Protocol, incremental_moduli, lateral_closure
 
     m = catalog["quadratic_hencky"]
-    p = Protocol.for_model("uniaxial", m)
+    p = Protocol("uniaxial")
     lam1 = 13.0  # e^2.5 ~ 12.18
     mod, _ = incremental_moduli(m, p, lam1)
     assert mod < 0.0

@@ -88,11 +88,15 @@ def test_log_rejects_non_spd():
         t3.sqrtm_spd(np.diag([0.0, 1.0, 1.0]))
 
 
-def test_primary_degenerate_independence():
-    # f acting on a degenerate subspace must not depend on the frame choice
+def test_logm_degenerate_independence():
+    # log acting on a degenerate subspace must not depend on the frame choice
     A = np.diag([2.0, 2.0, 1.0])
-    out = t3.primary(A, np.log)
+    out = t3.logm_spd(A)
     np.testing.assert_allclose(out, np.diag(np.log([2.0, 2.0, 1.0])), atol=1e-14)
+    # eigh picks an arbitrary frame in the double eigenspace of a rotated A
+    Q = random_rotation(np.random.default_rng(13))
+    out = t3.logm_spd(Q @ A @ Q.T)
+    np.testing.assert_allclose(out, Q @ np.diag(np.log([2.0, 2.0, 1.0])) @ Q.T, atol=1e-14)
 
 
 def test_matrix_log_monotonicity():
@@ -114,16 +118,13 @@ def test_matrix_log_monotonicity_worked_pair():
 
 def test_vec6_identity():
     np.testing.assert_allclose(t3.vec6(np.eye(3)), [1, 1, 1, 0, 0, 0])
-    np.testing.assert_allclose(t3.vec6(np.eye(3), orthonormal=False), [1, 1, 1, 0, 0, 0])
 
 
 def test_vec6_offdiagonal_isometry_by_hand():
-    A = t3.from_components(0, 0, 0, 1, 0, 0)
+    A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     v = t3.vec6(A)
-    assert v[3] == pytest.approx(np.sqrt(2.0))
+    np.testing.assert_allclose(v, [0, 0, 0, np.sqrt(2.0), 0, 0], rtol=1e-15)
     assert np.dot(v, v) == pytest.approx(2.0)  # == |A|_F^2
-    # plain embedding keeps the raw component
-    assert t3.vec6(A, orthonormal=False)[3] == 1.0
 
 
 def test_vec6_isometry_random():
@@ -134,7 +135,9 @@ def test_vec6_isometry_random():
         lhs = t3.inner(A, B)
         rhs = np.dot(t3.vec6(A), t3.vec6(B))
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, t3.norm(A) * t3.norm(B))
-        np.testing.assert_allclose(t3.unvec6(t3.vec6(A)), A, atol=1e-15)
+        # the components are the coordinates in basis6
+        back = sum(c * E for c, E in zip(t3.vec6(A), t3.basis6()))
+        np.testing.assert_allclose(back, A, atol=1e-15)
 
 
 def test_basis6_orthonormal():
@@ -142,34 +145,6 @@ def test_basis6_orthonormal():
     for i in range(6):
         for j in range(6):
             assert abs(t3.inner(E[i], E[j]) - (i == j)) <= 1e-15
-
-
-def test_dev_and_trace():
-    np.testing.assert_allclose(t3.dev(np.eye(3)), np.zeros((3, 3)))
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        A = t3.sym(rng.standard_normal((3, 3)))
-        assert abs(np.trace(t3.dev(A))) <= 1e-14
-
-
-def test_cof_diagonal():
-    C = t3.cof(np.diag([2.0, 3.0, 5.0]))
-    np.testing.assert_allclose(C, np.diag([15.0, 10.0, 6.0]))
-
-
-def test_cof_matches_det_inverse_transpose():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        X = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
-        expected = np.linalg.det(X) * np.linalg.inv(X).T
-        np.testing.assert_allclose(t3.cof(X), expected, atol=1e-10)
-
-
-def test_cof_singular_rejected():
-    X = np.zeros((3, 3))
-    X[0, 0] = 1.0
-    with pytest.raises(DomainError):
-        t3.cof(X)
 
 
 def test_batched_spectral_ops():
