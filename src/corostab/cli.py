@@ -18,8 +18,9 @@ use the shortest round-trip float representation, JSON keys are sorted.
 Exit status: 0 success; 1 usage, configuration or solver error; 2 when
 --expect-stable was given and a constitutive check (tangent positivity,
 ordered-force, tension-extension, or a sampled monotonicity pair) failed.
-The rank-one ellipticity probe is reported but never gates the exit code:
-it screens local material stability, not the constitutive conditions.
+The exact rank-one (Legendre-Hadamard) minimum is reported but never gates
+the exit code: it decides local material stability, not the constitutive
+conditions.
 """
 
 import argparse
@@ -29,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .errors import CorostabError, ConfigurationError, UsageError
+from .errors import CorostabError, ConfigurationError, DomainError, UsageError
 from .materials import MODEL_KINDS, StretchState, instantiate_model
 from .protocols import (
     PROTOCOL_KINDS,
@@ -182,7 +183,10 @@ def _emit(text, out_path):
 
 
 def _json_line(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    try:  # strict JSON: a non-finite number is an error, never an Infinity token
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError(f"non-finite value in the result {payload}") from None
 
 
 def _cmd_sweep(args):
@@ -247,7 +251,7 @@ def _cmd_check(args):
     else:
         tan = tsts_tangent(model, np.diag(lams))
         bt = be_te_check(model, state)
-        probe = lh_ellipticity_probe(model, state, samples=100, refinement=10)
+        probe = lh_ellipticity_probe(model, state)
         stability = {
             "tangent_min_eig": tan.min_eigenvalue,
             "be_margin": bt.be_margin,

@@ -49,7 +49,6 @@ __all__ = [
     "energy_and_derivatives",
     "energy_from_F",
     "instantiate_model",
-    "kirchhoff_extra_from_B",
     "principal_stresses",
 ]
 
@@ -590,23 +589,19 @@ def instantiate_model(kind: str, parameters: Mapping[str, float]) -> MaterialMod
     raise ConfigurationError(f"unknown model kind '{kind}' (known: {', '.join(MODEL_KINDS)})")
 
 
-def energy_and_derivatives(model: MaterialModel, state: StretchState):
-    """Energy and its first/second derivatives with respect to the stretches.
+def energy_and_derivatives(model: MaterialModel, lams):
+    """Energy W and its first and second derivatives W_i, W_ij with respect to
+    the principal stretches, batched over stretches of shape (..., 3).
 
-    Derivatives are analytic via the log-space gradient/Hessian:
-    dg/dl_i = ghat_grad_i / l_i and
-    d2g/dl_i dl_j = (ghat_hess_ij - delta_ij ghat_grad_i) / (l_i l_j).
+    Derivatives are analytic via the log-space gradient g and Hessian H of
+    ghat: W_i = g_i / l_i and W_ij = (H_ij - delta_ij g_i) / (l_i l_j).
     The Hessian is symmetrized to kill roundoff asymmetry.
     """
-    lams = state.as_array()
-    x = state.log()
-    g = float(model.ghat(x) - model.energy_offset)
-    grad_x = model.ghat_grad(x)
-    hess_x = model.ghat_hess(x)
-    grad = grad_x / lams
-    hess = (hess_x - np.diag(grad_x)) / np.outer(lams, lams)
-    hess = 0.5 * (hess + hess.T)
-    return g, grad, hess
+    lams = np.asarray(lams, dtype=float)
+    x = np.log(lams)
+    g = model.ghat_grad(x)
+    W2 = (model.ghat_hess(x) - g[..., None] * np.eye(3)) / (lams[..., :, None] * lams[..., None, :])
+    return model.ghat(x) - model.energy_offset, g / lams, 0.5 * (W2 + np.swapaxes(W2, -1, -2))
 
 
 def principal_stresses(model, state: StretchState, pressure=None) -> StressState:
@@ -655,21 +650,11 @@ def cauchy_from_B(model, B) -> np.ndarray:
     route.  Broadcasts over stacked (..., 3, 3) input.  Compressible only."""
     if model.incompressible:
         raise UsageError(
-            f"model '{model.kind}' is incompressible; use kirchhoff_extra_from_B"
+            f"model '{model.kind}' is incompressible; its Cauchy stress needs a pressure"
         )
     x, Q = _spd_log_stretches(B)
     sig = model.cauchy_principal(x)
     return np.einsum("...ik,...k,...jk->...ij", Q, sig, Q)
-
-
-def kirchhoff_extra_from_B(model, B) -> np.ndarray:
-    """Extra Kirchhoff stress tensor of an incompressible model from B; the
-    pressure part -p I is not included."""
-    if not model.incompressible:
-        raise UsageError(f"model '{model.kind}' is compressible; use cauchy_from_B")
-    x, Q = _spd_log_stretches(B)
-    t = model.extra_tau(x)
-    return np.einsum("...ik,...k,...jk->...ij", Q, t, Q)
 
 
 def energy_from_F(model, F) -> np.ndarray:

@@ -25,11 +25,12 @@ grid and the single-state functions on one row.
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError, UsageError
+from .errors import ConfigurationError, DomainError, SolverError, UsageError
 
 __all__ = [
     "CurveTable",
@@ -54,6 +55,7 @@ CSV_HEADER = (
 )
 
 _Y_LO, _Y_HI = math.log(1e-3), math.log(1e3)
+_X_RANGE = -math.log(sys.float_info.min)  # |log| of the smallest normal double
 _SCAN_POINTS = 64
 
 
@@ -192,6 +194,10 @@ def _incompressible_kinematics(kind, lam1):
             "hydrostatic tension is kinematically impossible at J = 1 "
             "with equal stretches"
         )
+    x = math.log(lam1) * np.array(_INCOMP_RATES[kind])
+    if np.max(np.abs(x)) > _X_RANGE:
+        raise DomainError(f"protocol '{kind}' at lambda1 = {lam1}: the closed kinematics "
+                          f"give stretches exp({x.tolist()}) outside the floating-point range")
     if kind == "uniaxial":
         return lam1 ** -0.5, lam1 ** -0.5
     if kind == "equibiaxial":

@@ -10,9 +10,10 @@ Implemented conditions:
 * two-point Hilbert monotonicity in Cauchy or Kirchhoff measure
   (``two_point_monotonicity``), the latter being Hill's inequality;
 * ordered-force and tension-extension inequalities (``be_te_check``);
-* a rank-one convexity probe of the energy (``lh_ellipticity_probe``), a
-  sampling heuristic: a non-negative result means "no violation found", never
-  a proof of ellipticity;
+* the exact minimum of the energy's rank-one (Legendre-Hadamard) form over
+  unit direction pairs, with a pair attaining it (``lh_ellipticity_probe``);
+  a negative value witnesses a loss of strong ellipticity, a positive one
+  proves strong ellipticity;
 * a region scanner aggregating all of the above on a stretch grid
   (``region_scan``).
 
@@ -38,9 +39,12 @@ trace-free subspace spanned by ``dev_basis5``.  The ordered-force margin
 is the minimum over pairs with distinct stretches of
 (s_i - s_j)(lambda_i - lambda_j), from one batched function for every
 caller.  The tension-extension margin is
-min_i d sigma_i / d lambda_i = min_i G_ii / lambda_i.  A condition counts
-as holding when its margin exceeds -1e-9; a violation is witnessed only
-below -1e-7.
+min_i d sigma_i / d lambda_i = min_i G_ii / lambda_i.  The rank-one minimum
+comes from the stretch derivatives W_i, W_ij of the energy
+(``energy_and_derivatives``, the same ghat_grad and ghat_hess) through a
+closed-form copositivity reduction, without a search over directions (see
+``_rank_one_minimum``).  A condition counts as holding when its margin
+exceeds -1e-9; a violation is witnessed only below -1e-7.
 """
 
 import io
@@ -51,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
-from .materials import MaterialModel, StretchState, energy_from_F, principal_stresses
-from .tensor3 import basis6, eig_sym, inner, logm_spd, norm, vec6
+from .materials import MaterialModel, StretchState, energy_and_derivatives, principal_stresses
+from .tensor3 import basis6, eig_sym, inner, logm_spd, vec6
 
 __all__ = [
     "HOLD_MARGIN",
@@ -75,11 +79,13 @@ WITNESS_MARGIN = -1e-7
 # to its centred limit when |x_i - x_j| <= _COINCIDENT.  Cancellation costs
 # the divided difference about eps |s| / |x_i - x_j| (2e-10 of the stress
 # scale at the threshold); the centred limit is off by O((x_i - x_j)^2) times
-# the third derivative of s (2e-12 of it at the threshold).
+# the third derivative of s (2e-12 of it at the threshold).  The rank-one
+# shear modulus A_ijij switches the same way (``_rank_one_minimum``).
 _COINCIDENT = 1e-6
 
 # basis6 slots 3, 4, 5 hold the shear pairs 12, 23, 31
 _SHEAR_PAIRS = ((0, 1), (1, 2), (2, 0))
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def dev_basis5():
@@ -159,7 +165,7 @@ def _be_margin(s, lams):
     is vacuous; batched over leading axes."""
     margin = np.zeros(lams.shape[:-1])
     seen = np.zeros(lams.shape[:-1], dtype=bool)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
+    for i, j in _PAIRS:
         distinct = lams[..., i] != lams[..., j]
         v = (s[..., i] - s[..., j]) * (lams[..., i] - lams[..., j])
         margin = np.where(distinct & (~seen | (v < margin)), v, margin)
@@ -278,90 +284,122 @@ def be_te_check(model, state: StretchState) -> BeTeResult:
     )
 
 
-# --- rank-one convexity probe -------------------------------------------------
+# --- rank-one (Legendre-Hadamard) minimum ----------------------------------------
 
-def _fibonacci_sphere(n):
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    th = i * math.pi * (3.0 - math.sqrt(5.0))
-    return np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
+# Sign vectors s, up to an overall sign; the products s_i s_j run over the
+# four sign triples (sigma_01, sigma_02, sigma_12) whose product is +1.
+_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
-def _rank_one_values(model, F, dyads, h):
-    """5-point second derivative of s -> W(F + s * dyad) at s = 0, batched."""
-    steps = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
-    Fs = F[None, None, :, :] + steps[None, :, None, None] * dyads[:, None, :, :]
-    W = energy_from_F(model, Fs.reshape(-1, 3, 3)).reshape(len(dyads), 5)
-    return (-W[:, 0] + 16 * W[:, 1] - 30 * W[:, 2] + 16 * W[:, 3] - W[:, 4]) / (12.0 * h * h)
+def _simplex_candidates(M):
+    """Points of the unit simplex {v >= 0, sum v = 1} among which v^T M v
+    attains its minimum, for symmetric M of shape (..., 3, 3): the vertices,
+    the stationary point of each edge (clipped to it) and the interior
+    stationary point, proportional to adj(M) 1, when it lies inside.  A
+    minimum that is not isolated extends to the boundary of its face, so
+    these seven points always contain one.  Shape (..., 7, 3)."""
+    # the points do not depend on the scale of M; unit scale keeps adj(M) finite
+    M = M / np.maximum(np.max(np.abs(M), axis=(-2, -1), keepdims=True), np.finfo(float).tiny)
+    eye = np.eye(3)
+    points = [np.broadcast_to(eye[i], M.shape[:-1]) for i in range(3)]
+    for i, j in _PAIRS:
+        curv = M[..., i, i] - 2.0 * M[..., i, j] + M[..., j, j]
+        convex = curv > 0.0
+        t = np.where(convex, (M[..., i, i] - M[..., i, j]) / np.where(convex, curv, 1.0), 0.0)
+        p = np.zeros(M.shape[:-1])
+        p[..., j] = np.clip(t, 0.0, 1.0)
+        p[..., i] = 1.0 - p[..., j]
+        points.append(p)
+    r0, r1, r2 = M[..., 0, :], M[..., 1, :], M[..., 2, :]
+    w = np.cross(r1, r2) + np.cross(r2, r0) + np.cross(r0, r1)  # adj(M) 1
+    total = np.sum(w, axis=-1, keepdims=True)
+    inside = np.all(w * total > 0.0, axis=-1, keepdims=True)
+    points.append(np.where(inside, w / np.where(inside, total, 1.0), eye[0]))
+    return np.stack(points, axis=-2)
 
 
-def _angles_of(v):
-    return math.atan2(v[1], v[0]), math.acos(max(-1.0, min(1.0, v[2])))
+def _rank_one_minimum(model, lams):
+    """Exact minimum over unit xi, eta of the rank-one form
+    xi(x)eta : A : xi(x)eta, A = d2W/dFdF at F = diag(lams), and a pair
+    (xi, eta) attaining it; batched over stretches of shape (..., 3).
+
+    In the principal frame A has the entries A_iijj = W_ij,
+    A_ijij = (lambda_i W_i - lambda_j W_j) / (lambda_i^2 - lambda_j^2) and
+    A_ijji = A_ijij - (W_i + W_j) / (lambda_i + lambda_j), with the centred
+    coincident limit A_ijij = (W_ii + W_jj - 2 W_ij + W_i / lambda_i +
+    W_j / lambda_j) / 4 when |x_i - x_j| <= _COINCIDENT.  With u_i = xi_i
+    eta_i the form is sum_i W_ii u_i^2 + sum_{i != j} c_ij u_i u_j +
+    sum_{i != j} A_ijij xi_i^2 eta_j^2, c_ij = W_ij + A_ijji, and
+    |xi|^2 |eta|^2 = sum_{i, j} xi_i^2 eta_j^2.  Minimizing over xi, eta
+    with u fixed reduces strong ellipticity to copositivity of four 3x3
+    matrices (Simpson & Spector 1983, ARMA 84): the minimum is the least of
+    the A_ijij (attained by xi = e_i, eta = e_j) and, for each sign vector s,
+    of v^T M_s v over the unit simplex, with M_s = W_ii on the diagonal and
+    s_i s_j c_ij + A_ijij off it; a minimizing v gives xi_i = s_i sqrt(v_i),
+    eta_i = sqrt(v_i).
+    """
+    lams = np.asarray(lams, dtype=float)
+    shape = lams.shape[:-1]
+    x = np.log(lams)
+    _, W1, W2 = energy_and_derivatives(model, lams)
+    shear = np.zeros(shape + (3, 3))  # A_ijij off the diagonal
+    coupling = np.zeros(shape + (3, 3))  # c_ij off the diagonal
+    for i, j in _PAIRS:
+        li, lj = lams[..., i], lams[..., j]
+        near = np.abs(x[..., i] - x[..., j]) <= _COINCIDENT
+        limit = 0.25 * (W2[..., i, i] + W2[..., j, j] - 2.0 * W2[..., i, j]
+                        + W1[..., i] / li + W1[..., j] / lj)
+        quotient = (li * W1[..., i] - lj * W1[..., j]) / np.where(near, 1.0, li * li - lj * lj)
+        a = np.where(near, limit, quotient)
+        shear[..., i, j] = shear[..., j, i] = a
+        coupling[..., i, j] = coupling[..., j, i] = (
+            W2[..., i, j] + a - (W1[..., i] + W1[..., j]) / (li + lj)
+        )
+    diag = np.diagonal(W2, axis1=-2, axis2=-1)[..., None, :] * np.eye(3)
+    signs = _SIGNS[:, :, None] * _SIGNS[:, None, :]
+    M = (diag + shear)[..., None, :, :] + signs * coupling[..., None, :, :]  # (..., 4, 3, 3)
+    v = _simplex_candidates(M)  # (..., 4, 7, 3)
+    values = np.einsum("...ki,...ij,...kj->...k", v, M, v).reshape(shape + (28,))
+    eta = np.sqrt(v)
+    xi = (_SIGNS[:, None, :] * eta).reshape(shape + (28, 3))
+    eta = eta.reshape(shape + (28, 3))
+    # the axis pairs xi = e_i, eta = e_j
+    first, second = [0, 0, 1], [1, 2, 2]
+    values = np.concatenate([values, shear[..., first, second]], axis=-1)
+    xi = np.concatenate([xi, np.broadcast_to(np.eye(3)[first], shape + (3, 3))], axis=-2)
+    eta = np.concatenate([eta, np.broadcast_to(np.eye(3)[second], shape + (3, 3))], axis=-2)
+    k = np.argmin(values, axis=-1)[..., None]
+    return (
+        np.take_along_axis(values, k, axis=-1)[..., 0],
+        np.take_along_axis(xi, k[..., None], axis=-2)[..., 0, :],
+        np.take_along_axis(eta, k[..., None], axis=-2)[..., 0, :],
+    )
 
 
-def _vec_of(theta, phi):
-    s = math.sin(phi)
-    return np.array([s * math.cos(theta), s * math.sin(theta), math.cos(phi)])
+def lh_ellipticity_probe(model, state) -> ProbeResult:
+    """Exact minimum of the rank-one second derivative of the energy,
+    d2/ds2 W(F + s xi(x)eta) at s = 0, over unit vectors xi, eta, and a pair
+    attaining it.  A negative value is a Legendre-Hadamard ellipticity
+    witness; a positive one proves strong ellipticity at F.
 
-
-def lh_ellipticity_probe(model, state, samples=400, refinement=40) -> ProbeResult:
-    """Minimum of the rank-one second derivative of the energy over sampled
-    unit direction pairs (xi, eta), with local refinement from the best
-    candidates.  ``state`` is a StretchState (diagonal deformation) or a
-    (3, 3) deformation gradient."""
+    ``state`` is a StretchState, its three stretches, or a (3, 3) deformation
+    gradient with det F > 0.  By isotropy the minimum at F = U diag(lambda)
+    V^T is the one at diag(lambda) (``_rank_one_minimum``), with the witness
+    rotated back to U xi, V eta.
+    """
     if model.incompressible:
         raise UsageError(
-            f"model '{model.kind}' is incompressible; the rank-one probe needs "
+            f"model '{model.kind}' is incompressible; the rank-one minimum needs "
             "the unconstrained energy"
         )
     F = state.as_array() if isinstance(state, StretchState) else np.asarray(state, dtype=float)
     if F.shape == (3,):
         F = np.diag(F)
-    h = 1e-3 * (1.0 + norm(F))
-    m = max(2, math.isqrt(max(1, samples)))
-    if m * m < samples:
-        m += 1
-    dirs = _fibonacci_sphere(m)
-    xi_idx, eta_idx = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    dyads = dirs[xi_idx.ravel(), :, None] * dirs[eta_idx.ravel(), None, :]
-    vals = _rank_one_values(model, F, dyads, h)
-
-    order = np.argsort(vals)[: min(10, len(vals))]
-    best_val = float(vals[order[0]])
-    best_xi = dirs[xi_idx.ravel()[order[0]]]
-    best_eta = dirs[eta_idx.ravel()[order[0]]]
-
-    if refinement > 0:
-        for o in order:
-            xi = dirs[xi_idx.ravel()[o]]
-            eta = dirs[eta_idx.ravel()[o]]
-            angles = list(_angles_of(xi) + _angles_of(eta))
-            cur = float(vals[o])
-            step = math.pi / m
-            for _ in range(refinement):
-                improved = False
-                for a in range(4):
-                    for sgn in (1.0, -1.0):
-                        trial = list(angles)
-                        trial[a] += sgn * step
-                        txi = _vec_of(trial[0], trial[1])
-                        teta = _vec_of(trial[2], trial[3])
-                        v = float(
-                            _rank_one_values(model, F, (txi[:, None] * teta[None, :])[None], h)[0]
-                        )
-                        if v < cur:
-                            cur, angles, improved = v, trial, True
-                if not improved:
-                    step *= 0.6
-                    if step < 1e-4:
-                        break
-            if cur < best_val:
-                best_val = cur
-                best_xi = _vec_of(angles[0], angles[1])
-                best_eta = _vec_of(angles[2], angles[3])
-
-    return ProbeResult(value=best_val, xi=best_xi, eta=best_eta)
+    if not np.linalg.det(F) > 0.0:
+        raise DomainError("deformation gradient must have positive determinant")
+    U, lams, Vt = np.linalg.svd(F)
+    value, xi, eta = _rank_one_minimum(model, lams)
+    return ProbeResult(value=float(value), xi=U @ xi, eta=Vt.T @ eta)
 
 
 # --- region scanner -------------------------------------------------------------
@@ -375,7 +413,8 @@ _SCAN_CSV_HEADER = (
 @dataclass
 class StabilityReport:
     """Per-state stability margins on a stretch grid plus sampled two-point
-    checks.  Violation witnesses re-evaluate as violations when replayed."""
+    checks.  ``lh_min`` is the exact rank-one minimum (NaN for incompressible
+    models).  Violation witnesses re-evaluate as violations when replayed."""
 
     model_kind: str
     parameters: dict
@@ -445,20 +484,13 @@ def _grid_states(grid):
     return idx, states
 
 
-def region_scan(
-    model,
-    grid=(0.5, 3.0, 11),
-    seed=0,
-    pairs=128,
-    lh_samples=49,
-    lh_step=None,
-) -> StabilityReport:
+def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityReport:
     """Evaluate every stability check on a cubic stretch grid.
 
     Per state: tangent minimum eigenvalue (Cauchy tangent for compressible
     models, deviatoric extra-stress tangent for incompressible ones), BE/TE
-    margins and a coarse rank-one probe (fixed shared directions, no
-    refinement -- use lh_ellipticity_probe for witness hunting).  Pairwise:
+    margins and, for compressible models, the exact rank-one minimum of
+    ``lh_ellipticity_probe`` (NaN for incompressible ones).  Pairwise:
     ``pairs`` seeded random state pairs checked for two-point monotonicity in
     the Cauchy measure and, on det-normalized states, the Kirchhoff measure.
     Deterministic for a fixed grid and seed.
@@ -488,24 +520,7 @@ def region_scan(
         csp_min = np.linalg.eigvalsh(_log_tangent(sig, G, x))[:, 0]
         be = _be_margin(sig, states)
         te = _te_margin(G, states)
-        m_dirs = max(2, math.isqrt(max(1, lh_samples)))
-        dirs = _fibonacci_sphere(m_dirs)
-        xi_i, eta_i = np.meshgrid(np.arange(m_dirs), np.arange(m_dirs), indexing="ij")
-        dyads = dirs[xi_i.ravel(), :, None] * dirs[eta_i.ravel(), None, :]
-        steps = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        # one step for the whole batch, scaled to the largest grid state
-        h = lh_step if lh_step is not None else 1e-3 * (1.0 + math.sqrt(3.0) * float(grid[1]))
-        Fs = np.zeros((n_states, 3, 3))
-        Fs[:, [0, 1, 2], [0, 1, 2]] = states
-        pert = (
-            Fs[:, None, None, :, :]
-            + (steps[None, None, :, None, None] * h) * dyads[None, :, None, :, :]
-        )
-        W = energy_from_F(model, pert.reshape(-1, 3, 3)).reshape(n_states, len(dyads), 5)
-        d2 = (-W[..., 0] + 16 * W[..., 1] - 30 * W[..., 2] + 16 * W[..., 3] - W[..., 4]) / (
-            12.0 * h * h
-        )
-        lh = np.min(d2, axis=-1)
+        lh = _rank_one_minimum(model, states)[0]
 
     # sampled two-point checks
     rng = np.random.default_rng(seed)

@@ -17,11 +17,9 @@ __all__ = [
     "EigenSystem3",
     "basis6",
     "eig_sym",
-    "expm_sym",
     "inner",
     "logm_spd",
     "norm",
-    "sqrtm_spd",
     "sym",
     "skew",
     "vec6",
@@ -71,29 +69,12 @@ def eig_sym(A) -> EigenSystem3:
     return EigenSystem3(d[..., ::-1], Q[..., ::-1])
 
 
-def _require_spd(d, what):
-    if np.any(d[..., -1] <= 0.0):
-        raise DomainError(f"{what} requires a positive-definite tensor")
-
-
 def logm_spd(A):
     """Matrix logarithm of a symmetric positive-definite tensor."""
     d, Q = eig_sym(A)
-    _require_spd(d, "log")
+    if np.any(d[..., -1] <= 0.0):
+        raise DomainError("log requires a positive-definite tensor")
     return np.einsum("...ik,...k,...jk->...ij", Q, np.log(d), Q)
-
-
-def expm_sym(A):
-    """Matrix exponential of a symmetric tensor."""
-    d, Q = eig_sym(A)
-    return np.einsum("...ik,...k,...jk->...ij", Q, np.exp(d), Q)
-
-
-def sqrtm_spd(A):
-    """Principal square root of a symmetric positive-definite tensor."""
-    d, Q = eig_sym(A)
-    _require_spd(d, "sqrt")
-    return np.einsum("...ik,...k,...jk->...ij", Q, np.sqrt(d), Q)
 
 
 def vec6(A) -> np.ndarray:

@@ -1,0 +1,129 @@
+"""Test-side reference implementations, written with numpy alone.
+
+They share no code with the package except the model kernels they are
+handed, so the package can be checked against them.
+"""
+
+import numpy as np
+
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def expm_sym(A):
+    """Matrix exponential of a symmetric tensor (stacked ok)."""
+    d, Q = np.linalg.eigh(A)
+    return np.einsum("...ik,...k,...jk->...ij", Q, np.exp(d), Q)
+
+
+def sqrtm_spd(A):
+    """Principal square root of a symmetric positive-definite tensor."""
+    d, Q = np.linalg.eigh(A)
+    assert np.all(d > 0.0)
+    return np.einsum("...ik,...k,...jk->...ij", Q, np.sqrt(d), Q)
+
+
+def kirchhoff_extra_from_B(model, B):
+    """Extra Kirchhoff stress tensor of an incompressible model at the left
+    Cauchy-Green tensor B, by the spectral route; no pressure part."""
+    d, Q = np.linalg.eigh(B)
+    t = model.extra_tau(0.5 * np.log(d))
+    return np.einsum("...ik,...k,...jk->...ij", Q, t, Q)
+
+
+def principal_axis_tensor(W1, W2, lam):
+    """Ogden's principal-axis elasticity tensor A_{i a j b} = d2W / dF_ia dF_jb
+    at F = diag(lam), as a (3, 3, 3, 3) array, from the stretch derivatives
+    W1_i = dW/dlambda_i and W2_ij = d2W/dlambda_i dlambda_j."""
+    A = np.zeros((3, 3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            A[i, i, j, j] = W2[i, j]
+            if i == j:
+                continue
+            if lam[i] == lam[j]:
+                # coincident limits of the two quotients below
+                A[i, j, i, j] = 0.5 * (W2[i, i] - W2[i, j] + W1[i] / lam[i])
+                A[i, j, j, i] = 0.5 * (W2[i, i] - W2[i, j] - W1[i] / lam[i])
+            else:
+                d = lam[i] ** 2 - lam[j] ** 2
+                A[i, j, i, j] = (lam[i] * W1[i] - lam[j] * W1[j]) / d
+                A[i, j, j, i] = (lam[j] * W1[i] - lam[i] * W1[j]) / d
+    return A
+
+
+def quadratic_hencky_rank_one_form(E, nu, lam):
+    """Principal-axis elasticity tensor of the quadratic Hencky energy
+    W = mu sum x_i^2 + lambda/2 (sum x_i)^2, x_i = log lambda_i, at
+    F = diag(lam).
+
+    Written from the energy alone: it shares nothing with the package's
+    tangents or its rank-one minimum."""
+    mu = E / (2.0 * (1.0 + nu))
+    lame = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    lam = np.asarray(lam, dtype=float)
+    x = np.log(lam)
+    g = 2.0 * mu * x + lame * np.sum(x)                  # d ghat / d x_i
+    W1 = g / lam                                         # dW / d lambda_i
+    W2 = (2.0 * mu * np.eye(3) + lame - np.diag(g)) / np.outer(lam, lam)
+    return principal_axis_tensor(W1, W2, lam)
+
+
+def rank_one_form(A, xi, eta):
+    """xi(x)eta : A : xi(x)eta."""
+    return float(np.einsum("iajb,i,a,j,b->", A, xi, eta, xi, eta))
+
+
+def acoustic_min(A, eta):
+    """Smallest eigenvalue of the acoustic tensor Q(eta)_ij = A_iajb eta_a eta_b
+    for a batch of unit vectors eta, i.e. the minimum over unit xi of the
+    rank-one form xi x eta : A : xi x eta."""
+    Q = np.einsum("iajb,na,nb->nij", A, eta, eta)
+    return np.linalg.eigvalsh(Q)[:, 0]
+
+
+def _octant(n):
+    t = np.linspace(0.0, 0.5 * np.pi, n)
+    th, ph = np.meshgrid(t, t, indexing="ij")
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], -1).reshape(-1, 3)
+
+
+def dense_rank_one_search(A, n=121):
+    """Least acoustic-tensor eigenvalue over an n x n angle grid of the
+    positive octant of the sphere, which sign flips of eta reduce the sphere
+    to.  An upper bound on the rank-one minimum, close to it for a fine
+    grid."""
+    return float(np.min(acoustic_min(A, _octant(n))))
+
+
+def hadeler_copositive(M):
+    """Hadeler's (1983) closed-form test that a symmetric 3x3 matrix is
+    copositive."""
+    d = np.diag(M)
+    if np.any(d < 0.0):
+        return False
+    r = np.sqrt(d)
+    p = [M[i, j] + r[i] * r[j] for i, j in PAIRS]
+    if min(p) < 0.0:
+        return False
+    return bool(
+        r[0] * r[1] * r[2] + M[0, 1] * r[2] + M[0, 2] * r[1] + M[1, 2] * r[0]
+        + np.sqrt(2.0 * p[0] * p[1] * p[2]) >= 0.0
+    )
+
+
+def strongly_elliptic_above(A, mu):
+    """Whether xi(x)eta : A : xi(x)eta >= mu |xi|^2 |eta|^2 for all xi, eta,
+    for a principal-axis tensor A: positive shifted axis moduli and Hadeler
+    copositivity of the four Simpson-Spector matrices, one per sign triple
+    with product +1."""
+    d = np.array([A[i, i, i, i] for i in range(3)]) - mu
+    a = np.einsum("ijij->ij", A) - mu
+    if np.any(d <= 0.0) or any(min(a[i, j], a[j, i]) <= 0.0 for i, j in PAIRS):
+        return False
+    for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+        M = np.diag(d)
+        for (i, j), s in zip(PAIRS, signs):
+            M[i, j] = M[j, i] = s * (A[i, i, j, j] + A[i, j, j, i]) + np.sqrt(a[i, j] * a[j, i])
+        if not hadeler_copositive(M):
+            return False
+    return True

@@ -21,6 +21,7 @@ from corostab.rates import (
 )
 
 from conftest import CATALOG_PARAMS, random_spd
+from oracles import acoustic_min, expm_sym, quadratic_hencky_rank_one_form
 
 
 def _report(name, ok, detail=""):
@@ -159,45 +160,6 @@ def test_ac5_small_strain_limit(catalog):
     assert ok
 
 
-def _quadratic_hencky_rank_one_form(E, nu, lam):
-    """Ogden's principal-axis elasticity tensor A_{i a j b} = d2W / dF_ia dF_jb
-    of the quadratic Hencky energy W = mu sum x_i^2 + lambda/2 (sum x_i)^2,
-    x_i = log lambda_i, at F = diag(lam), as a (3, 3, 3, 3) array.
-
-    Written from the energy alone: it shares nothing with the package's
-    tangents or its rank-one probe."""
-    mu = E / (2.0 * (1.0 + nu))
-    lame = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    lam = np.asarray(lam, dtype=float)
-    x = np.log(lam)
-    g = 2.0 * mu * x + lame * np.sum(x)                  # d ghat / d x_i
-    W1 = g / lam                                         # dW / d lambda_i
-    W2 = (2.0 * mu * np.eye(3) + lame - np.diag(g)) / np.outer(lam, lam)
-    A = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            A[i, i, j, j] = W2[i, j]
-            if i == j:
-                continue
-            if lam[i] == lam[j]:
-                # coincident limits of the two quotients below
-                A[i, j, i, j] = 0.5 * (W2[i, i] - W2[i, j] + W1[i] / lam[i])
-                A[i, j, j, i] = 0.5 * (W2[i, i] - W2[i, j] - W1[i] / lam[i])
-            else:
-                d = lam[i] ** 2 - lam[j] ** 2
-                A[i, j, i, j] = (lam[i] * W1[i] - lam[j] * W1[j]) / d
-                A[i, j, j, i] = (lam[j] * W1[i] - lam[i] * W1[j]) / d
-    return A
-
-
-def _acoustic_min(A, eta):
-    """Smallest eigenvalue of the acoustic tensor Q(eta)_ij = A_iajb eta_a eta_b
-    for a batch of unit vectors eta, i.e. the minimum over unit xi of the
-    rank-one form xi x eta : A : xi x eta."""
-    Q = np.einsum("iajb,na,nb->nij", A, eta, eta)
-    return np.linalg.eigvalsh(Q)[:, 0]
-
-
 def _exact_rank_one_minimum(A):
     """Minimum of min eig Q(eta) over the unit sphere at F = diag(l1, l2, l2).
 
@@ -206,7 +168,7 @@ def _exact_rank_one_minimum(A):
     angle into [0, pi/2].  That quarter circle is searched by a grid refined
     around its best point until the step is far below 1e-12."""
     def on_circle(t):
-        return _acoustic_min(A, np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1))
+        return acoustic_min(A, np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1))
 
     t = np.linspace(0.0, 0.5 * np.pi, 2001)
     for _ in range(6):
@@ -219,7 +181,7 @@ def _exact_rank_one_minimum(A):
     rng = np.random.default_rng(6)
     eta = rng.standard_normal((4000, 3))
     eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-    assert np.min(_acoustic_min(A, eta)) >= best - 1e-12
+    assert np.min(acoustic_min(A, eta)) >= best - 1e-12
     return best
 
 
@@ -246,10 +208,10 @@ def test_ac6_lh_ellipticity_witness(catalog):
     results = {}
     for lam1, reference in pinned.items():
         stretches = (lam1, lam1**-0.3, lam1**-0.3)
-        A = _quadratic_hencky_rank_one_form(1.0, 0.3, stretches)
+        A = quadratic_hencky_rank_one_form(1.0, 0.3, stretches)
         exact = _exact_rank_one_minimum(A)
         assert exact == pytest.approx(reference, abs=1e-12)
-        res = stab.lh_ellipticity_probe(m, StretchState(*stretches), samples=400, refinement=40)
+        res = stab.lh_ellipticity_probe(m, StretchState(*stretches))
         replay = float(np.einsum("iajb,i,a,j,b->", A, res.xi, res.eta, res.xi, res.eta))
         results[lam1] = (res, exact, replay)
 
@@ -280,7 +242,7 @@ def test_ac7_identity_suites(catalog):
     compressible = [m for m in catalog.values() if not m.incompressible]
 
     spd = np.stack([random_spd(rng, scale=1.5) for _ in range(1000)])
-    back = t3.expm_sym(t3.logm_spd(spd))
+    back = expm_sym(t3.logm_spd(spd))
     scale = np.maximum(1.0, np.sqrt(np.sum(spd * spd, axis=(-2, -1))))
     ok_log = bool(np.all(np.max(np.abs(back - spd), axis=(-2, -1)) <= 1e-10 * scale))
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,3 +280,44 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["modulus_incr"] == pytest.approx(1.0, abs=1e-4)
+
+
+KNOWN_DEFECTS = {
+    "scan-exp_hencky": ("scan", *EXPH, "--grid", "0.01:3:5"),
+    "scan-quadratic_hencky": ("scan", *QH, "--grid", "0.01:3:5"),
+    "scan-neo_hooke_vol_iso": ("scan", "--model", "neo_hooke_vol_iso", "--mu", "1", "--kappa", "3",
+                               "--grid", "0.01:3:5"),
+    "check-quadratic_hencky-0.02": ("check", *QH, "--protocol", "equibiaxial", "--at", "0.02"),
+    "check-neo_hooke_vol_iso-20": ("check", "--model", "neo_hooke_vol_iso", "--mu", "1",
+                                   "--kappa", "3", "--protocol", "equibiaxial", "--at", "20"),
+}
+
+
+@pytest.mark.parametrize("argv", KNOWN_DEFECTS.values(), ids=KNOWN_DEFECTS.keys())
+def test_small_stretch_states_evaluate(capsys, argv):
+    # a stretch below the old finite-difference step of the rank-one stage
+    # inverted a perturbed F ("deformation gradient must have positive
+    # determinant"); the exact minimum needs no step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    payload = json.loads(out)
+    if argv[0] == "check":
+        assert np.isfinite(payload["stability"]["lh_min_probe"])
+    else:
+        assert payload["counts"]["states"] == 125
+
+
+def test_out_of_range_stretch_is_a_domain_error(capsys):
+    # lambda3 = lambda1^-2 underflows to 0 at lambda1 = 1e200; this printed
+    # "modulus_incr":Infinity, which is not JSON, and exited 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys, "moduli", "--model", "neo_hooke_incompressible", "--mu", "1",
+            "--protocol", "equibiaxial", "--at", "1e200",
+        )
+    assert code == 1 and out == ""
+    assert err.startswith("corostab: error:")
+    assert "lambda1 = 1e+200" in err and "equibiaxial" in err

@@ -8,7 +8,12 @@ the modulus columns only within the stencil's own error.
 
 The ``check`` and ``moduli`` JSON lines and the ``scan`` JSON summaries were
 written at commit 62853e8, before the per-state quantities were collapsed
-onto one batched evaluation path; that change must not move a byte.
+onto one batched evaluation path; that change must not move a byte.  When
+the sampled rank-one probe gave way to the exact minimum, ``lh_min_probe``
+in the three compressible ``check`` files and the ``lh`` violations of
+``quadratic_hencky-scan.json`` were rewritten, each value first checked
+against the principal-axis oracle of ``oracles.py`` (a dense direction
+search and the Hadeler copositivity certificate).
 """
 
 from pathlib import Path

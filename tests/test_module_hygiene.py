@@ -3,10 +3,14 @@
 Every name a module exports through ``__all__`` must be bound at its top
 level, and every name a module imports must be used in it (or re-exported
 through ``__all__``).  Deleting a function leaves both kinds of stale name
-behind, and no linter ships with the package.
+behind, and no linter ships with the package.  The package imports only the
+standard library and the dependencies ``pyproject.toml`` declares; scipy,
+mpmath, sympy and hypothesis are for the tests alone.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +80,23 @@ def test_no_unused_imports(path):
     }
     unused = sorted(imported - used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _declared_dependencies():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    tomllib = pytest.importorskip("tomllib")
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).replace("-", "_") for d in deps}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_stdlib_and_declared_dependencies(path):
+    allowed = set(sys.stdlib_module_names) | _declared_dependencies()
+    tree = _tree(path)
+    top = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            top.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top.add(node.module.split(".")[0])
+    assert top <= allowed, f"{path.name}: imports outside stdlib and dependencies {sorted(top - allowed)}"

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corostab import materials as mat
 from corostab import stability as stab
@@ -17,7 +19,17 @@ from corostab.stability import (
     two_point_monotonicity,
 )
 
-from conftest import random_spd
+from conftest import random_rotation, random_spd
+from oracles import (
+    dense_rank_one_search,
+    expm_sym,
+    kirchhoff_extra_from_B,
+    principal_axis_tensor,
+    quadratic_hencky_rank_one_form,
+    rank_one_form,
+    sqrtm_spd,
+    strongly_elliptic_above,
+)
 
 
 def diag_V(l1, l2, l3):
@@ -77,7 +89,7 @@ def test_quadratic_form_equivalence(catalog):
                 V /= np.linalg.det(V) ** (1.0 / 3.0)
                 H -= np.trace(H) / 3.0 * np.eye(3)
                 tan = hill_tangent(m, V)
-                stress_of_B = mat.kirchhoff_extra_from_B
+                stress_of_B = kirchhoff_extra_from_B
             else:
                 tan = tsts_tangent(m, V)
                 stress_of_B = mat.cauchy_from_B
@@ -86,7 +98,7 @@ def test_quadratic_form_equivalence(catalog):
             h = 1e-7
 
             def stress_at(s):
-                return stress_of_B(m, t3.expm_sym(2.0 * (Y + s * H)))
+                return stress_of_B(m, expm_sym(2.0 * (Y + s * H)))
 
             direct = t3.inner((stress_at(h) - stress_at(-h)) / (2 * h), H)
             if m.incompressible:
@@ -123,8 +135,6 @@ def test_tangent_off_diagonal_state(catalog):
     # a rotated state must give the rotated-invariant spectrum
     m = catalog["exp_hencky"]
     rng = np.random.default_rng(41)
-    from conftest import random_rotation
-
     V = diag_V(1.8, 0.9, 1.2)
     Q = random_rotation(rng)
     a = tsts_tangent(m, V).eigenvalues
@@ -156,7 +166,7 @@ def test_neo_hooke_incompressible_hill_identity():
         B2 = random_spd(rng, scale=1.0)
         B1 /= np.linalg.det(B1) ** (1.0 / 3.0)
         B2 /= np.linalg.det(B2) ** (1.0 / 3.0)
-        V1, V2 = t3.sqrtm_spd(B1), t3.sqrtm_spd(B2)
+        V1, V2 = sqrtm_spd(B1), sqrtm_spd(B2)
         val = two_point_monotonicity(m, V1, V2, measure="kirchhoff")
         expected = 0.5 * m.mu * t3.inner(B1 - B2, t3.logm_spd(B1) - t3.logm_spd(B2))
         assert val == pytest.approx(expected, rel=1e-10, abs=1e-12)
@@ -188,9 +198,9 @@ def test_pointwise_implies_two_point_sampled(catalog):
         delta = np.inf
         for t in np.linspace(0.025, 0.975, 20):
             Yt = (1 - t) * Y1 + t * Y2
-            delta = min(delta, tsts_tangent(m, t3.expm_sym(Yt)).min_eigenvalue)
+            delta = min(delta, tsts_tangent(m, expm_sym(Yt)).min_eigenvalue)
         assert delta > 0.0
-        val = two_point_monotonicity(m, t3.expm_sym(Y1), t3.expm_sym(Y2))
+        val = two_point_monotonicity(m, expm_sym(Y1), expm_sym(Y2))
         gap = t3.norm(Y1 - Y2) ** 2
         assert val >= delta * gap * (1.0 - 1e-6) - 1e-12
 
@@ -255,7 +265,7 @@ def test_be_te_rejects_incompressible(catalog):
 
 def test_probe_positive_at_identity(compressible_models):
     for m in compressible_models:
-        r = lh_ellipticity_probe(m, StretchState(1.0, 1.0, 1.0), samples=64, refinement=5)
+        r = lh_ellipticity_probe(m, StretchState(1.0, 1.0, 1.0))
         assert r.value > 0.0, m.kind
 
 
@@ -265,17 +275,90 @@ def test_probe_finds_quadratic_hencky_witness(catalog):
     # the probe must find a witness there
     m = catalog["quadratic_hencky"]
     st = StretchState(4.0, 4.0**-0.3, 4.0**-0.3)
-    r = lh_ellipticity_probe(m, st, samples=400, refinement=40)
+    r = lh_ellipticity_probe(m, st)
     assert r.value < 0.0
     assert abs(np.linalg.norm(r.xi) - 1.0) < 1e-9
     assert abs(np.linalg.norm(r.eta) - 1.0) < 1e-9
-    # witness replays as a violation
-    from corostab.stability import _rank_one_values
-
-    F = np.diag(st.as_array())
-    replay = _rank_one_values(m, F, np.outer(r.xi, r.eta)[None], 1e-3 * (1 + t3.norm(F)))[0]
+    # witness replays as a violation through the principal-axis tensor
+    A = quadratic_hencky_rank_one_form(1.0, 0.3, st.as_array())
+    replay = rank_one_form(A, r.xi, r.eta)
     assert replay < 0.0
     assert replay == pytest.approx(r.value, rel=1e-6, abs=1e-10)
+
+
+def _rank_one_model(draw):
+    kind = draw(st.sampled_from(("exp_hencky", "quadratic_hencky", "neo_hooke_vol_iso")))
+    positive = st.floats(0.2, 3.0)
+    if kind == "neo_hooke_vol_iso":
+        params = {"mu": draw(positive), "kappa": draw(st.floats(0.2, 10.0))}
+    else:
+        params = {"E": draw(positive), "nu": draw(st.floats(-0.5, 0.45))}
+        if kind == "exp_hencky":
+            params.update(k=draw(st.floats(0.1, 1.5)), khat=draw(st.floats(0.1, 1.5)))
+    return instantiate_model(kind, params)
+
+
+@st.composite
+def _rank_one_cases(draw):
+    """A compressible model with random parameters, stretches that are
+    distinct, two coincident or all three coincident (in random order), and
+    two random rotations."""
+    m = _rank_one_model(draw)
+    x0 = draw(st.floats(-1.5, 1.5))
+    gaps = st.floats(0.05, 1.5)
+    pattern = draw(st.sampled_from(("distinct", "two", "three")))
+    if pattern == "distinct":
+        x = [x0, x0 + draw(gaps), x0 - draw(gaps)]
+    elif pattern == "two":
+        x = [x0, x0, x0 + draw(st.sampled_from((-1.0, 1.0))) * draw(gaps)]
+    else:
+        x = [x0, x0, x0]
+    lams = np.exp(np.array(draw(st.permutations(x))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return m, lams, random_rotation(rng), random_rotation(rng)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rank_one_cases())
+def test_rank_one_minimum_is_exact(case):
+    # the value is attained by its witness, is no larger than a dense search
+    # of the eta octant, and passes the Hadeler copositivity certificate
+    # (no direction lies below it); rotating F = R1 diag(lams) R2 leaves it
+    # unchanged and rotates the witness
+    m, lams, R1, R2 = case
+    _, W1, W2 = mat.energy_and_derivatives(m, lams)
+    A = principal_axis_tensor(W1, W2, lams)
+    scale = np.max(np.abs(A))
+    diag = lh_ellipticity_probe(m, lams)
+    rot = lh_ellipticity_probe(m, R1 @ np.diag(lams) @ R2)
+    assert rot.value == pytest.approx(diag.value, abs=1e-9 * scale)
+    for r, xi, eta in ((diag, diag.xi, diag.eta), (rot, R1.T @ rot.xi, R2 @ rot.eta)):
+        assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(eta) == pytest.approx(1.0, abs=1e-12)
+        assert rank_one_form(A, xi, eta) == pytest.approx(r.value, abs=1e-8 * scale)
+    assert diag.value <= dense_rank_one_search(A) + 1e-10 * scale
+    assert strongly_elliptic_above(A, diag.value - 1e-9 * scale)
+
+
+@pytest.mark.parametrize("kind", ["exp_hencky", "quadratic_hencky", "neo_hooke_vol_iso"])
+def test_rank_one_minimum_certified_on_grid(catalog, kind):
+    # the catalog parameters reach minimizers of every kind (axis pairs,
+    # vertices, edges and interior points of the simplex) on this grid
+    m = catalog[kind]
+    axis = np.exp(np.linspace(-2.0, 2.0, 7))
+    states = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    for lams in states:
+        _, W1, W2 = mat.energy_and_derivatives(m, lams)
+        A = principal_axis_tensor(W1, W2, lams)
+        scale = np.max(np.abs(A))
+        r = lh_ellipticity_probe(m, lams)
+        assert rank_one_form(A, r.xi, r.eta) == pytest.approx(r.value, abs=1e-10 * scale)
+        assert strongly_elliptic_above(A, r.value - 1e-9 * scale), lams
+
+
+def test_probe_rejects_inverted_deformation(catalog):
+    with pytest.raises(DomainError):
+        lh_ellipticity_probe(catalog["exp_hencky"], np.diag([1.0, 1.0, -1.0]))
 
 
 def test_rank_one_stencil_hand_value():
@@ -306,7 +389,7 @@ def test_probe_rejects_incompressible(catalog):
 
 
 def test_probe_accepts_matrix_input(catalog):
-    r = lh_ellipticity_probe(catalog["exp_hencky"], np.eye(3), samples=36, refinement=0)
+    r = lh_ellipticity_probe(catalog["exp_hencky"], np.eye(3))
     assert r.value > 0.0
 
 
