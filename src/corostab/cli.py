@@ -24,6 +24,8 @@ conditions.
 """
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -41,9 +43,9 @@ from .protocols import (
     sweep,
 )
 from .rates import (
+    MotionSample,
     csp_rate_form,
     energy_second_time_derivative,
-    motion_from_stretch_path,
     power_identity,
     second_order_work_identity,
 )
@@ -130,6 +132,13 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    # the tree of subcommands and flags is fixed, so one build serves every
+    # main() call in the process; parse_args keeps no state between calls
+    return build_parser()
+
+
 def resolve_model(args):
     kind = args.model
     params = {}
@@ -189,6 +198,19 @@ def _json_line(payload):
         raise DomainError(f"non-finite value in the result {payload}") from None
 
 
+@contextlib.contextmanager
+def _one_state(protocol, lam1):
+    """Evaluate one protocol state with floating-point overflow and invalid
+    operations raised: a stress beyond the double range at a representable
+    stretch becomes a DomainError naming the state, not numpy warnings
+    followed by a non-finite or failed result."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"protocol '{protocol.kind}' at lambda1 = {lam1}: {exc}") from None
+
+
 def _cmd_sweep(args):
     model = resolve_model(args)
     lam_min, lam_max, steps = _grid_triplet(args, "sweep")
@@ -201,7 +223,8 @@ def _cmd_sweep(args):
 def _cmd_moduli(args):
     model = resolve_model(args)
     protocol = Protocol(args.protocol)
-    mod, mod_log = incremental_moduli(model, protocol, args.at)
+    with _one_state(protocol, args.at):
+        mod, mod_log = incremental_moduli(model, protocol, args.at)
     _emit(
         _json_line(
             {
@@ -220,14 +243,23 @@ def _cmd_moduli(args):
 def _cmd_check(args):
     model = resolve_model(args)
     protocol = Protocol(args.protocol)
-    closure = lateral_closure(model, protocol, args.at)
-    row = _curve_rows(model, protocol, [args.at], [closure])
-    state = StretchState(args.at, closure.lam2, closure.lam3)
+    with _one_state(protocol, args.at):
+        report = _check_report(model, protocol, args.at)
+    _emit(_json_line(report), args.out)
+    if args.expect_stable and report["violations"]:
+        return 2
+    return 0
+
+
+def _check_report(model, protocol, lam1):
+    closure = lateral_closure(model, protocol, lam1)
+    row = _curve_rows(model, protocol, [lam1], [closure])
+    state = StretchState(lam1, closure.lam2, closure.lam3)
     lams = state.as_array()
     report = {
         "model": model.kind,
         "protocol": protocol.kind,
-        "lambda1": args.at,
+        "lambda1": lam1,
         "state": [float(v) for v in lams],
         "pressure": closure.pressure,
         "stress_driving": float(row.stress_driving[0]),
@@ -266,10 +298,7 @@ def _cmd_check(args):
         violations.insert(0, "csp")
     report["stability"] = stability
     report["violations"] = violations
-    _emit(_json_line(report), args.out)
-    if args.expect_stable and violations:
-        return 2
-    return 0
+    return report
 
 
 def _json_out_path(csv_path):
@@ -305,31 +334,35 @@ def _cmd_rate_verify(args):
         raise UsageError(
             "rate-verify needs a compressible model (pointwise stress without pressure)"
         )
+    # per case: the cubic coefficients of the three stretch paths, then the
+    # instant; each path is evaluated in scalar arithmetic, case by case, so
+    # a seed gives the same motions bit for bit at any --cases
     rng = np.random.default_rng(args.seed)
-    worst = {"power": 0.0, "second_order_three_way": 0.0, "rate_form": 0.0}
-    for _ in range(args.cases):
+    paths = np.zeros((3, args.cases, 3, 3))  # F, Fdot, Fddot of each case
+    for n in range(args.cases):
         coef = rng.uniform(-0.4, 0.4, size=(3, 3))
-        paths = [
-            (
-                lambda t, c=coef[i]: 1.0 + c[0] * t + c[1] * t * t / 2 + c[2] * t**3 / 6,
-                lambda t, c=coef[i]: c[0] + c[1] * t + c[2] * t * t / 2,
-                lambda t, c=coef[i]: c[1] + c[2] * t,
+        t = float(rng.uniform(0.0, 0.5))
+        for i, c in enumerate(coef):
+            paths[:, n, i, i] = (
+                1.0 + c[0] * t + c[1] * t * t / 2 + c[2] * t**3 / 6,
+                c[0] + c[1] * t + c[2] * t * t / 2,
+                c[1] + c[2] * t,
             )
-            for i in range(3)
-        ]
-        motion = motion_from_stretch_path(paths, float(rng.uniform(0.0, 0.5)))
-        lhs, _, res = power_identity(model, motion)
-        worst["power"] = max(worst["power"], res / max(1.0, abs(lhs)))
-        ref, spat, _ = second_order_work_identity(model, motion)
-        direct = energy_second_time_derivative(model, motion)
-        scale = max(1.0, abs(direct))
-        worst["second_order_three_way"] = max(
-            worst["second_order_three_way"],
-            abs(ref - direct) / scale,
-            abs(spat - direct) / scale,
-        )
-        lhs, _, res = csp_rate_form(model, motion)
-        worst["rate_form"] = max(worst["rate_form"], res / max(1.0, abs(lhs)))
+    motion = MotionSample(*paths)
+
+    def relative(res, ref):
+        return float(np.max(res / np.maximum(1.0, np.abs(ref))))
+
+    lhs, _, res = power_identity(model, motion)
+    ref, spat, _ = second_order_work_identity(model, motion)
+    direct = energy_second_time_derivative(model, motion)
+    gap = np.maximum(np.abs(ref - direct), np.abs(spat - direct))
+    rate_lhs, _, rate_res = csp_rate_form(model, motion)
+    worst = {
+        "power": relative(res, lhs),
+        "second_order_three_way": relative(gap, direct),
+        "rate_form": relative(rate_res, rate_lhs),
+    }
     tolerances = {"power": 1e-8, "second_order_three_way": 1e-5, "rate_form": 1e-6}
     ok = all(worst[k] <= tolerances[k] for k in worst)
     _emit(
@@ -358,9 +391,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except CorostabError as exc:
         print(f"corostab: error: {exc}", file=sys.stderr)

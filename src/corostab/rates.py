@@ -7,6 +7,10 @@ expansion without loss.  For diagonal motions the spin vanishes and every
 corotational rate collapses to the material time derivative, which is what
 makes the principal-stress rate form checkable.
 
+The three tensors may be stacked, shape (..., 3, 3).  The identities
+broadcast over the stack and return one value per motion (0-d for a single
+motion), so a batch of motions costs one pass over each identity.
+
 Energy-based quantities (first Piola stress, rank-two derivative along the
 velocity) are obtained by finite differences on the energy in matrix
 directions, deliberately independent of the analytic stress formulas they are
@@ -14,7 +18,6 @@ tested against.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +33,6 @@ __all__ = [
     "csp_rate_form",
     "energy_second_time_derivative",
     "first_piola_fd",
-    "motion_from_stretch_path",
     "power_identity",
     "second_order_work_identity",
 ]
@@ -38,9 +40,19 @@ __all__ = [
 _HT = 1e-6  # time step for first-order stress rates (with one Richardson level)
 
 
+def _frobenius(A):
+    return np.linalg.norm(A, axis=(-2, -1))
+
+
+def _contract(A, B):
+    """<A, B> over the last two axes."""
+    return np.sum(A * B, axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class MotionSample:
-    """Deformation gradient and its first two time derivatives at an instant."""
+    """Deformation gradient and its first two time derivatives at an instant,
+    for one motion (3, 3) or a stack of motions (..., 3, 3) of equal shape."""
 
     F: np.ndarray
     Fdot: np.ndarray
@@ -49,15 +61,20 @@ class MotionSample:
     def __post_init__(self):
         for name in ("F", "Fdot", "Fddot"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (3, 3) or not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"{name} must be a finite 3x3 tensor")
+            if arr.shape[-2:] != (3, 3) or not np.all(np.isfinite(arr)):
+                raise InvalidInputError(f"{name} must be a finite (..., 3, 3) tensor stack")
             object.__setattr__(self, name, arr)
-        if np.linalg.det(self.F) <= 0.0:
+        if not self.F.shape == self.Fdot.shape == self.Fddot.shape:
+            raise InvalidInputError(
+                f"F, Fdot and Fddot must have one shape, got {self.F.shape}, "
+                f"{self.Fdot.shape} and {self.Fddot.shape}"
+            )
+        if np.any(np.linalg.det(self.F) <= 0.0):
             raise DomainError("motion requires det F > 0")
 
     @property
     def J(self):
-        return float(np.linalg.det(self.F))
+        return np.linalg.det(self.F)
 
     @property
     def L(self):
@@ -73,15 +90,18 @@ class MotionSample:
 
     @property
     def is_diagonal(self):
-        scale = max(1.0, float(np.max(np.abs(self.F))), float(np.max(np.abs(self.Fdot))))
-        off = sum(
-            float(np.max(np.abs(A - np.diag(np.diag(A)))))
-            for A in (self.F, self.Fdot, self.Fddot)
-        )
-        return off <= 1e-12 * scale
+        """True when every motion of the stack is diagonal."""
+        def peak(A):
+            return np.max(np.abs(A), axis=(-2, -1))
+
+        scale = np.maximum(1.0, np.maximum(peak(self.F), peak(self.Fdot)))
+        off = sum(peak(A - A * np.eye(3)) for A in (self.F, self.Fdot, self.Fddot))
+        return bool(np.all(off <= 1e-12 * scale))
 
     def F_at(self, s):
-        """Second-order Taylor reconstruction of F(t + s)."""
+        """Second-order Taylor reconstruction of F(t + s); ``s`` broadcasts
+        against the stack shape."""
+        s = np.asarray(s, dtype=float)[..., None, None]
         return self.F + s * self.Fdot + 0.5 * s * s * self.Fddot
 
 
@@ -119,19 +139,6 @@ class SpinChoice:
         raise UsageError(f"unknown spin kind '{self.kind}'")
 
 
-def motion_from_stretch_path(paths: Sequence[Sequence[Callable]], t: float) -> MotionSample:
-    """Diagonal motion from three per-axis stretch paths, each given as a
-    (value, first derivative, second derivative) triple of callables of t."""
-    if len(paths) != 3:
-        raise InvalidInputError("need three stretch paths")
-    lam = np.array([float(p[0](t)) for p in paths])
-    lamd = np.array([float(p[1](t)) for p in paths])
-    lamdd = np.array([float(p[2](t)) for p in paths])
-    if np.any(lam <= 0.0):
-        raise DomainError(f"stretch path non-positive at t = {t}: {lam}")
-    return MotionSample(F=np.diag(lam), Fdot=np.diag(lamd), Fddot=np.diag(lamdd))
-
-
 def corotational_rate(sigma_dot, sigma, spin: SpinChoice, L, biezeno_hencky=False):
     """sigma_dot + sigma Omega - Omega sigma for the chosen spin; with the
     ``biezeno_hencky`` flag the non-corotational term sigma tr(D) is added."""
@@ -147,7 +154,8 @@ def corotational_rate(sigma_dot, sigma, spin: SpinChoice, L, biezeno_hencky=Fals
 
 
 def cauchy_of_F(model: MaterialModel, F):
-    return cauchy_from_B(model, np.asarray(F, dtype=float) @ np.asarray(F, dtype=float).T)
+    F = np.asarray(F, dtype=float)
+    return cauchy_from_B(model, F @ np.swapaxes(F, -1, -2))
 
 
 def _dt_richardson(f, h=_HT):
@@ -155,6 +163,16 @@ def _dt_richardson(f, h=_HT):
     d1 = (f(h) - f(-h)) / (2.0 * h)
     d2 = (f(0.5 * h) - f(-0.5 * h)) / h
     return (4.0 * d2 - d1) / 3.0
+
+
+def _fd5_steps(h):
+    """Steps -2h, -h, 0, h, 2h on a new leading axis, for a step h per motion."""
+    return np.array([-2.0, -1.0, 0.0, 1.0, 2.0]).reshape((5,) + (1,) * np.ndim(h)) * h
+
+
+def _fd5(W, h):
+    """5-point second derivative at 0 from the values at ``_fd5_steps(h)``."""
+    return (-W[0] + 16 * W[1] - 30 * W[2] + 16 * W[3] - W[4]) / (12.0 * h * h)
 
 
 def _require_compressible(model):
@@ -176,9 +194,9 @@ def csp_rate_form(model: MaterialModel, motion: MotionSample):
     _require_compressible(model)
     if not motion.is_diagonal:
         raise UsageError("the principal rate form needs a diagonal motion")
-    lam = np.diag(motion.F)
-    lamd = np.diag(motion.Fdot)
-    lamdd = np.diag(motion.Fddot)
+    lam, lamd, lamdd = (
+        np.diagonal(A, axis1=-2, axis2=-1) for A in (motion.F, motion.Fdot, motion.Fddot)
+    )
     rate = lamd / lam
 
     def sigma_p(s):
@@ -186,16 +204,17 @@ def csp_rate_form(model: MaterialModel, motion: MotionSample):
         return model.cauchy_principal(np.log(lam_s))
 
     sig_dot = _dt_richardson(sigma_p)
-    lhs = float(np.sum(sig_dot * rate))
+    lhs = np.sum(sig_dot * rate, axis=-1)
 
     # chain rule: d sigma_i / d lam_j = e^{-s}(H_ij - tau_i) / lam_j
     x = np.log(lam)
     tau = model.ghat_grad(x)
     hess = model.ghat_hess(x)
-    dsig_dlam = np.exp(-np.sum(x)) * (hess - tau[:, None]) / lam[None, :]
-    sig_dot_chain = dsig_dlam @ lamd
-    rhs = float(np.sum(sig_dot_chain * rate))
-    return lhs, rhs, abs(lhs - rhs)
+    J_inv = np.exp(-np.sum(x, axis=-1))[..., None, None]
+    dsig_dlam = J_inv * (hess - tau[..., :, None]) / lam[..., None, :]
+    sig_dot_chain = np.einsum("...ij,...j->...i", dsig_dlam, lamd)
+    rhs = np.sum(sig_dot_chain * rate, axis=-1)
+    return lhs, rhs, np.abs(lhs - rhs)
 
 
 def first_piola_fd(model: MaterialModel, F):
@@ -203,34 +222,32 @@ def first_piola_fd(model: MaterialModel, F):
     nine matrix directions (one Richardson level)."""
     _require_compressible(model)
     F = np.asarray(F, dtype=float)
-    h = 1e-6 * max(1.0, float(np.max(np.abs(F))))
-    steps = np.array([h, -h, 0.5 * h, -0.5 * h])
-    pert = np.repeat(F[None], 36, axis=0).reshape(9, 4, 3, 3)
-    for c in range(9):
-        i, j = divmod(c, 3)
-        pert[c, :, i, j] += steps
-    W = energy_from_F(model, pert.reshape(-1, 3, 3)).reshape(9, 4)
-    d1 = (W[:, 0] - W[:, 1]) / (2.0 * h)
-    d2 = (W[:, 2] - W[:, 3]) / h
-    return ((4.0 * d2 - d1) / 3.0).reshape(3, 3)
+    h = 1e-6 * np.maximum(1.0, np.max(np.abs(F), axis=(-2, -1)))[..., None]
+    steps = h * np.array([1.0, -1.0, 0.5, -0.5])
+    units = np.eye(9).reshape(9, 1, 3, 3)
+    # (..., 9, 4, 3, 3): F moved by each step along each matrix direction
+    pert = F[..., None, None, :, :] + steps[..., None, :, None, None] * units
+    W = energy_from_F(model, pert)
+    d1 = (W[..., 0] - W[..., 1]) / (2.0 * h)
+    d2 = (W[..., 2] - W[..., 3]) / h
+    return ((4.0 * d2 - d1) / 3.0).reshape(F.shape)
 
 
-def _d2_along(model, F, X, scale=1.0):
+def _d2_along(model, F, X):
     """5-point second derivative of s -> W(F + s X) at s = 0."""
-    h = 1e-3 * (1.0 + float(np.linalg.norm(F))) / max(1.0, float(np.linalg.norm(X))) * scale
-    Fs = np.stack([F + s * h * X for s in (-2.0, -1.0, 0.0, 1.0, 2.0)])
-    W = energy_from_F(model, Fs)
-    return float((-W[0] + 16 * W[1] - 30 * W[2] + 16 * W[3] - W[4]) / (12.0 * h * h))
+    h = 1e-3 * (1.0 + _frobenius(F)) / np.maximum(1.0, _frobenius(X))
+    W = energy_from_F(model, F + _fd5_steps(h)[..., None, None] * X)
+    return _fd5(W, h)
 
 
 def power_identity(model: MaterialModel, motion: MotionSample):
     """<S1, Fdot> against J <sigma, D>; returns (lhs, rhs, |lhs - rhs|)."""
     _require_compressible(model)
     S1 = first_piola_fd(model, motion.F)
-    lhs = float(np.sum(S1 * motion.Fdot))
+    lhs = _contract(S1, motion.Fdot)
     sig = cauchy_of_F(model, motion.F)
-    rhs = float(motion.J * np.sum(sig * motion.D))
-    return lhs, rhs, abs(lhs - rhs)
+    rhs = motion.J * _contract(sig, motion.D)
+    return lhs, rhs, np.abs(lhs - rhs)
 
 
 def second_order_work_identity(model: MaterialModel, motion: MotionSample):
@@ -244,7 +261,7 @@ def second_order_work_identity(model: MaterialModel, motion: MotionSample):
     """
     _require_compressible(model)
     F = motion.F
-    ref = _d2_along(model, F, motion.Fdot) + float(np.sum(first_piola_fd(model, F) * motion.Fddot))
+    ref = _d2_along(model, F, motion.Fdot) + _contract(first_piola_fd(model, F), motion.Fddot)
 
     Finv = np.linalg.inv(F)
     L = motion.Fdot @ Finv
@@ -253,18 +270,16 @@ def second_order_work_identity(model: MaterialModel, motion: MotionSample):
     sig = cauchy_of_F(model, F)
 
     sig_dot = _dt_richardson(lambda s: cauchy_of_F(model, motion.F_at(s)))
-    spatial = float(
-        motion.J
-        * (np.sum(sig_dot * D) + np.sum(sig * Ddot) + np.sum(sig * D) * np.trace(D))
-    )
-    return ref, spatial, abs(ref - spatial)
+    trD = np.trace(D, axis1=-2, axis2=-1)
+    spatial = motion.J * (_contract(sig_dot, D) + _contract(sig, Ddot) + _contract(sig, D) * trD)
+    return ref, spatial, np.abs(ref - spatial)
 
 
 def energy_second_time_derivative(model: MaterialModel, motion: MotionSample):
     """Direct 5-point second derivative of t -> W(F(t)) on the Taylor path;
     independent oracle for both routes of second_order_work_identity."""
     _require_compressible(model)
-    rate = max(1.0, float(np.linalg.norm(motion.Fdot)) + float(np.linalg.norm(motion.Fddot)))
-    h = 1e-3 * (1.0 + float(np.linalg.norm(motion.F))) / rate
-    W = np.array([energy_from_F(model, motion.F_at(s * h)) for s in (-2, -1, 0, 1, 2)])
-    return float((-W[0] + 16 * W[1] - 30 * W[2] + 16 * W[3] - W[4]) / (12.0 * h * h))
+    rate = np.maximum(1.0, _frobenius(motion.Fdot) + _frobenius(motion.Fddot))
+    h = 1e-3 * (1.0 + _frobenius(motion.F)) / rate
+    W = energy_from_F(model, motion.F_at(_fd5_steps(h)))
+    return _fd5(W, h)

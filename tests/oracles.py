@@ -1,10 +1,13 @@
 """Test-side reference implementations, written with numpy alone.
 
 They share no code with the package except the model kernels they are
-handed, so the package can be checked against them.
+handed (and the MotionSample container that `motion_from_stretch_path`
+fills), so the package can be checked against them.
 """
 
 import numpy as np
+
+from corostab.rates import MotionSample
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -20,6 +23,13 @@ def sqrtm_spd(A):
     d, Q = np.linalg.eigh(A)
     assert np.all(d > 0.0)
     return np.einsum("...ik,...k,...jk->...ij", Q, np.sqrt(d), Q)
+
+
+def motion_from_stretch_path(paths, t):
+    """Diagonal motion from three per-axis stretch paths, each given as a
+    (value, first derivative, second derivative) triple of callables of t."""
+    F, Fdot, Fddot = (np.diag([float(p[k](t)) for p in paths]) for k in range(3))
+    return MotionSample(F=F, Fdot=Fdot, Fddot=Fddot)
 
 
 def kirchhoff_extra_from_B(model, B):

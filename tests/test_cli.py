@@ -321,3 +321,73 @@ def test_out_of_range_stretch_is_a_domain_error(capsys):
     assert code == 1 and out == ""
     assert err.startswith("corostab: error:")
     assert "lambda1 = 1e+200" in err and "equibiaxial" in err
+
+
+@pytest.mark.parametrize("command", ["check", "moduli"])
+def test_overflowing_stress_is_a_domain_error(capsys, command):
+    # the stretches are representable but mu exp(2 x) overflows: check ended
+    # in a LinAlgError traceback and moduli leaked overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, command, "--model", "neo_hooke_incompressible", "--mu", "1",
+            "--protocol", "uniaxial", "--at", "1e200",
+        )
+    assert code == 1 and out == ""
+    assert err.startswith("corostab: error:") and err.count("\n") == 1
+    assert "lambda1 = 1e+200" in err and "uniaxial" in err
+
+
+SHARED_PARSER_ARGV = [
+    ("check", *QH, "--at", "14"),  # usage error: --protocol is required
+    ("check", *QH, "--protocol", "uniaxial", "--at", "14", "--expect-stable"),
+    ("check", *QH, "--protocol", "uniaxial", "--at", "14"),
+    ("sweep", *EXPH, "--protocol", "planar", "--grid", "0.8:1.6:4"),
+    ("scan", *QH, "--grid", "0.5:3:3", "--pairs", "8"),
+    ("rate-verify", *EXPH, "--cases", "3", "--seed", "4"),
+]
+
+
+def test_parser_shared_across_calls(capsys):
+    # one process, one parser: a command must not see what an earlier one parsed
+    forward = [run_cli(capsys, *argv) for argv in SHARED_PARSER_ARGV]
+    backward = [run_cli(capsys, *argv) for argv in reversed(SHARED_PARSER_ARGV)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [1, 2, 0, 0, 0, 0]
+    assert "required: --protocol" in forward[0][2]
+
+
+def test_parser_built_at_most_once(monkeypatch, capsys):
+    from corostab import cli
+
+    build_parser = cli.build_parser
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for _ in range(10):
+        assert run_cli(capsys, "moduli", *QH, "--protocol", "uniaxial", "--at", "1.5")[0] == 0
+    assert len(builds) <= 1
+
+
+def test_rate_verify_energy_calls_independent_of_cases(monkeypatch, capsys):
+    # the cases are evaluated as one stack, so the number of energy
+    # evaluations per identity does not grow with --cases
+    from corostab import materials, rates
+
+    def count(cases):
+        calls = []
+
+        def counting_energy(model, F):
+            calls.append(1)
+            return materials.energy_from_F(model, F)
+
+        monkeypatch.setattr(rates, "energy_from_F", counting_energy)
+        code, _, err = run_cli(capsys, "rate-verify", *QH, "--cases", str(cases))
+        assert code == 0, err
+        return len(calls)
+
+    assert count(1) == count(40)

@@ -11,10 +11,11 @@ from corostab.rates import (
     csp_rate_form,
     energy_second_time_derivative,
     first_piola_fd,
-    motion_from_stretch_path,
     power_identity,
     second_order_work_identity,
 )
+
+from oracles import motion_from_stretch_path
 
 
 
@@ -97,6 +98,52 @@ def test_motion_validation():
         MotionSample(F=-np.eye(3), Fdot=np.zeros((3, 3)), Fddot=np.zeros((3, 3)))
     with pytest.raises(InvalidInputError):
         MotionSample(F=np.full((3, 3), np.nan), Fdot=np.zeros((3, 3)), Fddot=np.zeros((3, 3)))
+
+
+def stack_motions(motions, shape):
+    return MotionSample(
+        *(np.stack([getattr(m, name) for m in motions]).reshape(shape + (3, 3))
+          for name in ("F", "Fdot", "Fddot"))
+    )
+
+
+@pytest.mark.parametrize("kind", ["exp_hencky", "quadratic_hencky", "neo_hooke_vol_iso"])
+def test_identities_broadcast_over_stacked_motions(catalog, kind):
+    # one call over a (2, 3) stack of motions gives each motion's single-call value
+    model = catalog[kind]
+    rng = np.random.default_rng(59)
+    general = [random_general_motion(rng) for _ in range(6)]
+    diagonal = [random_diagonal_motion(rng) for _ in range(6)]
+    identities = [
+        lambda m: (first_piola_fd(model, m.F), rates.cauchy_of_F(model, m.F)),
+        lambda m: power_identity(model, m),
+        lambda m: second_order_work_identity(model, m),
+        lambda m: (energy_second_time_derivative(model, m),),
+    ]
+    cases = [(fn, motions) for fn in identities for motions in (general, diagonal)]
+    cases.append((lambda m: csp_rate_form(model, m), diagonal))
+    for fn, motions in cases:
+        batched = [np.reshape(v, (6,) + np.shape(v)[2:]) for v in fn(stack_motions(motions, (2, 3)))]
+        for k, m in enumerate(motions):
+            for b, single in zip(batched, fn(m)):
+                assert b[k].shape == np.shape(single)
+                assert np.all(np.abs(b[k] - single) <= 1e-9 * np.maximum(1.0, np.abs(single)))
+    assert stack_motions(diagonal, (6,)).is_diagonal
+    assert not stack_motions(diagonal[:5] + general[:1], (6,)).is_diagonal
+
+
+def test_stacked_motion_validation():
+    rng = np.random.default_rng(60)
+    motions = [random_general_motion(rng) for _ in range(4)]
+    F = np.stack([m.F for m in motions])
+    inverted = F.copy()
+    inverted[2] = np.diag([-1.0, 1.0, 1.0]) @ F[2]  # one motion with det F < 0
+    with pytest.raises(DomainError):
+        MotionSample(F=inverted, Fdot=F, Fddot=F)
+    with pytest.raises(InvalidInputError):
+        MotionSample(F=F, Fdot=F[:3], Fddot=F)
+    with pytest.raises(InvalidInputError):
+        MotionSample(F=F[..., :2], Fdot=F[..., :2], Fddot=F[..., :2])
 
 
 # --- corotational rates ------------------------------------------------------------
