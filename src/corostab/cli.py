@@ -24,7 +24,6 @@ conditions.
 """
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -38,7 +37,6 @@ from .protocols import (
     PROTOCOL_KINDS,
     Protocol,
     _curve_rows,
-    incremental_moduli,
     lateral_closure,
     sweep,
 )
@@ -62,6 +60,8 @@ from .stability import (
 _CONSTITUTIVE_CHECKS = ("csp", "be", "te", "tsts_m_plus", "hill")
 
 _PARAM_FLAGS = ("mu", "lambda_lame", "E", "nu", "k", "khat", "kappa")
+
+_RATE_BLOCK = 100  # rate-verify cases per stacked evaluation, about 10 KB each
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,17 +198,34 @@ def _json_line(payload):
         raise DomainError(f"non-finite value in the result {payload}") from None
 
 
-@contextlib.contextmanager
-def _one_state(protocol, lam1):
-    """Evaluate one protocol state with floating-point overflow and invalid
-    operations raised: a stress beyond the double range at a representable
-    stretch becomes a DomainError naming the state, not numpy warnings
-    followed by a non-finite or failed result."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise DomainError(f"protocol '{protocol.kind}' at lambda1 = {lam1}: {exc}") from None
+def _solved_state(model, protocol, lam1):
+    """Closure and curve row of one protocol state, checked once for range:
+    a stress, energy or modulus beyond the double range at a representable
+    stretch is a DomainError naming the state.
+
+    The commands that call this run with numpy's overflow and invalid-
+    operation warnings silenced: a cold closure's bracketing scan meets
+    non-finite residuals far from its root and skips them, and what counts
+    is the result, checked here and, for every reported number, by
+    ``_json_line``."""
+    closure = lateral_closure(model, protocol, lam1)
+    row = _curve_rows(model, protocol, [lam1], [closure])
+    values = (
+        closure.lam2,
+        closure.lam3,
+        closure.pressure or 0.0,
+        row.stress_driving[0],
+        row.stress_biot[0],
+        row.energy[0],
+        row.modulus_incr[0],
+        row.modulus_incr_log[0],
+    )
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            f"protocol '{protocol.kind}' at lambda1 = {lam1}: the stress, energy "
+            f"or modulus of the solved state is outside the floating-point range"
+        )
+    return closure, row
 
 
 def _cmd_sweep(args):
@@ -220,19 +237,19 @@ def _cmd_sweep(args):
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_moduli(args):
     model = resolve_model(args)
     protocol = Protocol(args.protocol)
-    with _one_state(protocol, args.at):
-        mod, mod_log = incremental_moduli(model, protocol, args.at)
+    _, row = _solved_state(model, protocol, args.at)
     _emit(
         _json_line(
             {
                 "lambda1": args.at,
                 "model": model.kind,
                 "protocol": protocol.kind,
-                "modulus_incr": mod,
-                "modulus_incr_log": mod_log,
+                "modulus_incr": float(row.modulus_incr[0]),
+                "modulus_incr_log": float(row.modulus_incr_log[0]),
             }
         ),
         args.out,
@@ -240,26 +257,17 @@ def _cmd_moduli(args):
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_check(args):
     model = resolve_model(args)
     protocol = Protocol(args.protocol)
-    with _one_state(protocol, args.at):
-        report = _check_report(model, protocol, args.at)
-    _emit(_json_line(report), args.out)
-    if args.expect_stable and report["violations"]:
-        return 2
-    return 0
-
-
-def _check_report(model, protocol, lam1):
-    closure = lateral_closure(model, protocol, lam1)
-    row = _curve_rows(model, protocol, [lam1], [closure])
-    state = StretchState(lam1, closure.lam2, closure.lam3)
+    closure, row = _solved_state(model, protocol, args.at)
+    state = StretchState(args.at, closure.lam2, closure.lam3)
     lams = state.as_array()
     report = {
         "model": model.kind,
         "protocol": protocol.kind,
-        "lambda1": lam1,
+        "lambda1": args.at,
         "state": [float(v) for v in lams],
         "pressure": closure.pressure,
         "stress_driving": float(row.stress_driving[0]),
@@ -298,7 +306,10 @@ def _check_report(model, protocol, lam1):
         violations.insert(0, "csp")
     report["stability"] = stability
     report["violations"] = violations
-    return report
+    _emit(_json_line(report), args.out)
+    if args.expect_stable and violations:
+        return 2
+    return 0
 
 
 def _json_out_path(csv_path):
@@ -334,35 +345,39 @@ def _cmd_rate_verify(args):
         raise UsageError(
             "rate-verify needs a compressible model (pointwise stress without pressure)"
         )
-    # per case: the cubic coefficients of the three stretch paths, then the
-    # instant; each path is evaluated in scalar arithmetic, case by case, so
-    # a seed gives the same motions bit for bit at any --cases
-    rng = np.random.default_rng(args.seed)
-    paths = np.zeros((3, args.cases, 3, 3))  # F, Fdot, Fddot of each case
-    for n in range(args.cases):
-        coef = rng.uniform(-0.4, 0.4, size=(3, 3))
-        t = float(rng.uniform(0.0, 0.5))
-        for i, c in enumerate(coef):
-            paths[:, n, i, i] = (
-                1.0 + c[0] * t + c[1] * t * t / 2 + c[2] * t**3 / 6,
-                c[0] + c[1] * t + c[2] * t * t / 2,
-                c[1] + c[2] * t,
-            )
-    motion = MotionSample(*paths)
-
     def relative(res, ref):
         return float(np.max(res / np.maximum(1.0, np.abs(ref))))
 
-    lhs, _, res = power_identity(model, motion)
-    ref, spat, _ = second_order_work_identity(model, motion)
-    direct = energy_second_time_derivative(model, motion)
-    gap = np.maximum(np.abs(ref - direct), np.abs(spat - direct))
-    rate_lhs, _, rate_res = csp_rate_form(model, motion)
-    worst = {
-        "power": relative(res, lhs),
-        "second_order_three_way": relative(gap, direct),
-        "rate_form": relative(rate_res, rate_lhs),
-    }
+    # per case: the cubic coefficients of the three stretch paths, then the
+    # instant; each path is evaluated in scalar arithmetic, case by case, so
+    # a seed gives the same motions bit for bit at any --cases.  The cases
+    # are evaluated in stacks of at most _RATE_BLOCK, one call per identity
+    # per stack, so memory stays flat at any --cases
+    rng = np.random.default_rng(args.seed)
+    worst = {"power": 0.0, "second_order_three_way": 0.0, "rate_form": 0.0}
+    for start in range(0, args.cases, _RATE_BLOCK):
+        paths = np.zeros((3, min(_RATE_BLOCK, args.cases - start), 3, 3))  # F, Fdot, Fddot
+        for n in range(paths.shape[1]):
+            coef = rng.uniform(-0.4, 0.4, size=(3, 3))
+            t = float(rng.uniform(0.0, 0.5))
+            for i, c in enumerate(coef):
+                paths[:, n, i, i] = (
+                    1.0 + c[0] * t + c[1] * t * t / 2 + c[2] * t**3 / 6,
+                    c[0] + c[1] * t + c[2] * t * t / 2,
+                    c[1] + c[2] * t,
+                )
+        motion = MotionSample(*paths)
+        lhs, _, res = power_identity(model, motion)
+        ref, spat, _ = second_order_work_identity(model, motion)
+        direct = energy_second_time_derivative(model, motion)
+        gap = np.maximum(np.abs(ref - direct), np.abs(spat - direct))
+        rate_lhs, _, rate_res = csp_rate_form(model, motion)
+        for key, value in (
+            ("power", relative(res, lhs)),
+            ("second_order_three_way", relative(gap, direct)),
+            ("rate_form", relative(rate_res, rate_lhs)),
+        ):
+            worst[key] = max(worst[key], value)
     tolerances = {"power": 1e-8, "second_order_three_way": 1e-5, "rate_form": 1e-6}
     ok = all(worst[k] <= tolerances[k] for k in worst)
     _emit(

@@ -11,6 +11,7 @@ import pytest
 import corostab
 from corostab.cli import main
 from corostab.protocols import CurveTable
+from corostab.rates import MotionSample
 
 
 def run_cli(capsys, *argv):
@@ -338,6 +339,31 @@ def test_overflowing_stress_is_a_domain_error(capsys, command):
     assert "lambda1 = 1e+200" in err and "uniaxial" in err
 
 
+@pytest.mark.parametrize("command", ["check", "moduli"])
+@pytest.mark.parametrize("stiffening", [("--k", "8", "--khat", "1"), ("--k", "1", "--khat", "4")],
+                         ids=["k8", "khat4"])
+def test_benign_state_with_overflowing_closure_scan(capsys, command, stiffening):
+    # the cold closure's bracketing scan overflows exp(k x^2) far from the
+    # root and skips those points; the solved state is finite and must be
+    # reported, equal to the warm-started sweep row through it
+    model = ("--model", "exp_hencky", "--mu", "1", "--lambda-lame", "2", *stiffening)
+    code, out, err = run_cli(capsys, "sweep", *model, "--protocol", "uniaxial", "--grid", "1:1.2:2")
+    assert code == 0, err
+    row = CurveTable.from_csv(out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, *model, "--protocol", "uniaxial", "--at", "1.2")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["modulus_incr"] == pytest.approx(row.modulus_incr[-1], rel=1e-12)
+    assert payload["modulus_incr_log"] == pytest.approx(row.modulus_incr_log[-1], rel=1e-12)
+    if command == "check":
+        assert payload["state"][1] == pytest.approx(row.lambda_lateral[-1], rel=1e-12)
+        assert payload["stress_driving"] == pytest.approx(row.stress_driving[-1], rel=1e-12)
+        assert payload["energy"] == pytest.approx(row.energy[-1], rel=1e-12)
+        assert payload["violations"] == []
+
+
 SHARED_PARSER_ARGV = [
     ("check", *QH, "--at", "14"),  # usage error: --protocol is required
     ("check", *QH, "--protocol", "uniaxial", "--at", "14", "--expect-stable"),
@@ -391,3 +417,26 @@ def test_rate_verify_energy_calls_independent_of_cases(monkeypatch, capsys):
         return len(calls)
 
     assert count(1) == count(40)
+
+
+def test_rate_verify_stacks_are_bounded(monkeypatch, capsys):
+    # cases are stacked in blocks of _RATE_BLOCK, so memory stays flat at any
+    # --cases; the blocks draw the same motions in the same order
+    from corostab import cli
+
+    sizes = []
+
+    def recording_motion(F, Fdot, Fddot):
+        sizes.append(F.shape[0])
+        return MotionSample(F, Fdot, Fddot)
+
+    monkeypatch.setattr(cli, "MotionSample", recording_motion)
+    code, out, err = run_cli(capsys, "rate-verify", *QH, "--cases", "100", "--seed", "3")
+    assert code == 0, err
+    head = json.loads(out)["max_residuals"]
+    sizes.clear()
+    code, out, err = run_cli(capsys, "rate-verify", *QH, "--cases", "250", "--seed", "3")
+    assert code == 0, err
+    assert sizes == [cli._RATE_BLOCK, cli._RATE_BLOCK, 250 - 2 * cli._RATE_BLOCK]
+    worst = json.loads(out)["max_residuals"]
+    assert all(worst[k] >= head[k] for k in head)
