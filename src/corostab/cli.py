@@ -47,15 +47,7 @@ from .rates import (
     power_identity,
     second_order_work_identity,
 )
-from .stability import (
-    WITNESS_MARGIN,
-    _be_margin,
-    be_te_check,
-    hill_tangent,
-    lh_ellipticity_probe,
-    region_scan,
-    tsts_tangent,
-)
+from .stability import principal_block, region_scan
 
 _CONSTITUTIVE_CHECKS = ("csp", "be", "te", "tsts_m_plus", "hill")
 
@@ -262,50 +254,29 @@ def _cmd_check(args):
     model = resolve_model(args)
     protocol = Protocol(args.protocol)
     closure, row = _solved_state(model, protocol, args.at)
-    state = StretchState(args.at, closure.lam2, closure.lam3)
-    lams = state.as_array()
+    lams = StretchState(args.at, closure.lam2, closure.lam3).as_array()[None]  # a batch of one
+    block = principal_block(model, lams)
+    violations = [check for check, bad in block.witnessed().items()
+                  if check in _CONSTITUTIVE_CHECKS and bad[0]]
     report = {
         "model": model.kind,
         "protocol": protocol.kind,
         "lambda1": args.at,
-        "state": [float(v) for v in lams],
+        "state": [float(v) for v in lams[0]],
         "pressure": closure.pressure,
         "stress_driving": float(row.stress_driving[0]),
         "stress_biot": float(row.stress_biot[0]),
         "energy": float(row.energy[0]),
         "modulus_incr": float(row.modulus_incr[0]),
         "modulus_incr_log": float(row.modulus_incr_log[0]),
+        "stability": {
+            "tangent_min_eig": float(block.csp[0]),
+            "be_margin": float(block.be[0]),
+            "te_margin": None if model.incompressible else float(block.te[0]),
+            "lh_min_probe": None if model.incompressible else float(block.lh[0]),
+        },
+        "violations": violations,
     }
-    violations = []
-    if model.incompressible:
-        tan = hill_tangent(model, np.diag(lams))
-        be = float(_be_margin(model.extra_tau(np.log(lams)), lams))
-        stability = {
-            "tangent_min_eig": tan.min_eigenvalue,
-            "be_margin": be,
-            "te_margin": None,
-            "lh_min_probe": None,
-        }
-        if be < WITNESS_MARGIN:
-            violations.append("be")
-    else:
-        tan = tsts_tangent(model, np.diag(lams))
-        bt = be_te_check(model, state)
-        probe = lh_ellipticity_probe(model, state)
-        stability = {
-            "tangent_min_eig": tan.min_eigenvalue,
-            "be_margin": bt.be_margin,
-            "te_margin": bt.te_margin,
-            "lh_min_probe": probe.value,
-        }
-        if bt.be_margin < WITNESS_MARGIN:
-            violations.append("be")
-        if bt.te_margin < WITNESS_MARGIN:
-            violations.append("te")
-    if tan.min_eigenvalue < WITNESS_MARGIN:
-        violations.insert(0, "csp")
-    report["stability"] = stability
-    report["violations"] = violations
     _emit(_json_line(report), args.out)
     if args.expect_stable and violations:
         return 2

@@ -16,10 +16,11 @@ the published ones for each model; they coincide with the gradient of ghat
 for the Neo-Hooke and quadratic-Hencky models but the exponentiated-Hencky
 variant uses the Biot-type rule t_i = d g / d lambda_i.
 
-Incremental moduli, stability tangents and tension-extension margins all
-come from ``stress_jac``: the principal stress law s(x) (Cauchy if
-compressible, extra Kirchhoff if incompressible) together with its exact
-Jacobian G_ij = d s_i / d x_j.
+Incremental moduli come from ``stress_jac``: the principal stress law s(x)
+(Cauchy if compressible, extra Kirchhoff if incompressible) together with
+its exact Jacobian G_ij = d s_i / d x_j.  The stability checks read the same
+derivatives with the volumetric term kept apart (``ghat_grad_split``,
+``ghat_hess_split``).
 
 Energies are normalized so the reference state has zero energy; the shift
 does not affect any stress.
@@ -131,10 +132,13 @@ class StressState:
 class MaterialModel:
     """Common interface of all catalog models.
 
-    Subclasses provide ``ghat``/``ghat_grad``/``ghat_hess`` on log-stretch
-    arrays of shape (..., 3); incompressible ones additionally provide
-    ``extra_tau`` and its Jacobian ``extra_tau_jac``.  All methods broadcast
-    over leading axes.
+    Subclasses provide ``ghat`` on log-stretch arrays of shape (..., 3).
+    Compressible ones split its gradient and Hessian off the volumetric
+    term: ``ghat_grad_split`` gives (iso, v) with ghat_grad = iso + v 1 and
+    ``ghat_hess_split`` (iso, c) with ghat_hess = iso + c 11^T.
+    Incompressible ones provide ``ghat_grad``/``ghat_hess`` directly, plus
+    ``extra_tau`` and its Jacobian ``extra_tau_jac``.  All methods
+    broadcast over leading axes.
     """
 
     kind: ClassVar[str]
@@ -144,10 +148,12 @@ class MaterialModel:
         raise NotImplementedError
 
     def ghat_grad(self, x):
-        raise NotImplementedError
+        iso, v = self.ghat_grad_split(x)
+        return iso + v[..., None]
 
     def ghat_hess(self, x):
-        raise NotImplementedError
+        iso, c = self.ghat_hess_split(x)
+        return iso + c[..., None, None]
 
     def extra_tau(self, x):
         raise UsageError(f"model '{self.kind}' is compressible; no extra stress")
@@ -199,10 +205,6 @@ class MaterialModel:
         raise NotImplementedError
 
 
-def _ones33(x):
-    return np.ones(x.shape[:-1] + (3, 3))
-
-
 def _eye33(x):
     return np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3)).copy()
 
@@ -233,27 +235,22 @@ class ExponentiatedHencky(MaterialModel):
             self.khat * s * s
         )
 
-    def ghat_grad(self, x):
+    def ghat_grad_split(self, x):
         x = np.asarray(x, dtype=float)
         mu, lam = self.constants.mu, self.constants.lam
         q = np.sum(x * x, axis=-1)
         s = np.sum(x, axis=-1)
-        iso = 2.0 * mu * x * np.exp(self.k * q)[..., None]
-        vol = (lam * s * np.exp(self.khat * s * s))[..., None]
-        return iso + vol
+        return 2.0 * mu * x * np.exp(self.k * q)[..., None], lam * s * np.exp(self.khat * s * s)
 
-    def ghat_hess(self, x):
+    def ghat_hess_split(self, x):
         x = np.asarray(x, dtype=float)
         mu, lam = self.constants.mu, self.constants.lam
         q = np.sum(x * x, axis=-1)
         s = np.sum(x, axis=-1)
-        eiso = np.exp(self.k * q)[..., None, None]
-        evol = np.exp(self.khat * s * s)
-        iso = 2.0 * mu * eiso * (
+        iso = 2.0 * mu * np.exp(self.k * q)[..., None, None] * (
             _eye33(x) + 2.0 * self.k * x[..., :, None] * x[..., None, :]
         )
-        vol = (lam * (1.0 + 2.0 * self.khat * s * s) * evol)[..., None, None] * _ones33(x)
-        return iso + vol
+        return iso, lam * (1.0 + 2.0 * self.khat * s * s) * np.exp(self.khat * s * s)
 
     def parameters(self):
         return {
@@ -283,15 +280,13 @@ class QuadraticHencky(MaterialModel):
         s = np.sum(x, axis=-1)
         return mu * np.sum(x * x, axis=-1) + 0.5 * lam * s * s
 
-    def ghat_grad(self, x):
+    def ghat_grad_split(self, x):
         x = np.asarray(x, dtype=float)
-        mu, lam = self.constants.mu, self.constants.lam
-        s = np.sum(x, axis=-1)
-        return 2.0 * mu * x + (lam * s)[..., None]
+        return 2.0 * self.constants.mu * x, self.constants.lam * np.sum(x, axis=-1)
 
-    def ghat_hess(self, x):
+    def ghat_hess_split(self, x):
         x = np.asarray(x, dtype=float)
-        return 2.0 * self.constants.mu * _eye33(x) + self.constants.lam * _ones33(x)
+        return 2.0 * self.constants.mu * _eye33(x), np.full(x.shape[:-1], self.constants.lam)
 
     def parameters(self):
         return {"mu": self.constants.mu, "lambda_lame": self.constants.lam}
@@ -331,17 +326,16 @@ class NeoHookeVolIso(MaterialModel):
         J = np.exp(s)
         return iso + 0.5 * self.kappa * (J - 1.0) ** 2
 
-    def ghat_grad(self, x):
+    def ghat_grad_split(self, x):
         x = np.asarray(x, dtype=float)
         b = np.exp(2.0 * x)
         s = np.sum(x, axis=-1)
         bbar = np.sum(b, axis=-1)[..., None] / 3.0
         J = np.exp(s)
         iso = self.mu * np.exp(-2.0 * s / 3.0)[..., None] * (b - bbar)
-        vol = (self.kappa * (J - 1.0) * J)[..., None]
-        return iso + vol
+        return iso, self.kappa * (J - 1.0) * J
 
-    def ghat_hess(self, x):
+    def ghat_hess_split(self, x):
         x = np.asarray(x, dtype=float)
         b = np.exp(2.0 * x)
         s = np.sum(x, axis=-1)
@@ -355,8 +349,7 @@ class NeoHookeVolIso(MaterialModel):
             - (2.0 / 3.0) * (bi + bj)
             + (2.0 / 9.0) * B[..., None, None]
         )
-        vol = (self.kappa * (2.0 * J * J - J))[..., None, None] * _ones33(x)
-        return iso + vol
+        return iso, self.kappa * (2.0 * J * J - J)
 
     def parameters(self):
         return {"mu": self.mu, "kappa": self.kappa}

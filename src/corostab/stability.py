@@ -17,34 +17,31 @@ Implemented conditions:
 * a region scanner aggregating all of the above on a stretch grid
   (``region_scan``).
 
-Tangents and margins are exact.  They come from the model's principal
-stress law s(x), x_i = log(lambda_i), and its Jacobian G = ds/dx
-(``MaterialModel.stress_jac``; s is Cauchy stress for compressible models,
-the extra Kirchhoff stress for incompressible ones).  Hill's principal-axis
-formula (Hill 1978, Adv. Appl. Mech. 18; Ogden, Non-linear Elastic
-Deformations, section 4) gives the tangent of s with respect to log V in the
-principal frame of V, in the orthonormal basis (11, 22, 33, 12, 23, 31) of
-``basis6``, as a block-diagonal matrix:
+Tangents and margins are exact.  By Hill's principal-axis formula (Hill
+1978, Adv. Appl. Mech. 18; Ogden, Non-linear Elastic Deformations, section
+4) the tangent of the principal stress law s(x), x_i = log(lambda_i), with
+respect to log V is block diagonal in the principal frame of V: a normal
+block sym(G), G = ds/dx, and one shear scalar per axis pair,
+(s_i - s_j) / (x_i - x_j), or its limit (G_ii - G_ij - G_ji + G_jj) / 2 at
+coincident stretches (see ``_COINCIDENT``).  s is Cauchy stress for
+compressible models, the extra Kirchhoff stress for incompressible ones.
 
-* the normal block sym(G); G itself need not be symmetric (for Cauchy stress
-  G = J^-1 (H - tau (x) 1)) and only its symmetric part enters the
-  quadratic form;
-* one shear entry per axis pair, (s_i - s_j) / (x_i - x_j), replaced at
-  coincident stretches by its limit (G_ii - G_ij - G_ji + G_jj) / 2, which
-  is G_ii - G_ij there (see ``_COINCIDENT``).
-
-``TangentMatrix6.matrix`` is that block matrix rotated into the lab
-``basis6`` frame; for incompressible models it is restricted to the
-trace-free subspace spanned by ``dev_basis5``.  The ordered-force margin
-is the minimum over pairs with distinct stretches of
-(s_i - s_j)(lambda_i - lambda_j), from one batched function for every
-caller.  The tension-extension margin is
-min_i d sigma_i / d lambda_i = min_i G_ii / lambda_i.  The rank-one minimum
-comes from the stretch derivatives W_i, W_ij of the energy
-(``energy_and_derivatives``, the same ghat_grad and ghat_hess) through a
-closed-form copositivity reduction, without a search over directions (see
-``_rank_one_minimum``).  A condition counts as holding when its margin
-exceeds -1e-9; a violation is witnessed only below -1e-7.
+``principal_block`` builds that block and every per-state margin from it,
+batched; the tangents, ``be_te_check``, ``region_scan`` and the CLI
+``check`` read it.  Its normal block is written in the orthonormal basis
+(dev, dev, vol) = ((1, -1, 0)/sqrt 2, (1, 1, -2)/sqrt 6, (1, 1, 1)/sqrt 3).
+Compressible models split ghat_grad = iso + v 1 and ghat_hess = iso + c 11^T,
+so the volumetric term, up to twenty orders of magnitude larger than the
+rest at large stretch, enters only the vol-vol entry, as 3 (c - v) / J; the
+other entries, the shear scalars and the ordered-force products
+(s_i - s_j)(lambda_i - lambda_j) come from ``iso`` differences, where it
+cancels exactly.  The tension-extension margin min_i G_ii / lambda_i
+includes it.  Incompressible models have only the (dev, dev) block.  The
+rank-one minimum comes from the stretch derivatives of the energy
+(``_rank_one_candidates``).  ``TangentMatrix6.matrix``, the block in lab
+``basis6`` (incompressible: ``dev_basis5``) coordinates, is assembled only
+for that attribute.  A condition holds when its margin exceeds -1e-9; a
+violation is witnessed only below -1e-7.
 """
 
 import io
@@ -55,18 +52,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
-from .materials import MaterialModel, StretchState, energy_and_derivatives, principal_stresses
-from .tensor3 import basis6, eig_sym, inner, logm_spd, vec6
+from .materials import MaterialModel, StretchState, energy_and_derivatives
+from .tensor3 import basis6, eig_sym, inner, logm_spd
 
 __all__ = [
     "HOLD_MARGIN",
     "WITNESS_MARGIN",
+    "PrincipalBlock",
     "ProbeResult",
     "StabilityReport",
     "TangentMatrix6",
     "be_te_check",
     "hill_tangent",
     "lh_ellipticity_probe",
+    "principal_block",
     "region_scan",
     "tsts_tangent",
     "two_point_monotonicity",
@@ -80,25 +79,26 @@ WITNESS_MARGIN = -1e-7
 # the divided difference about eps |s| / |x_i - x_j| (2e-10 of the stress
 # scale at the threshold); the centred limit is off by O((x_i - x_j)^2) times
 # the third derivative of s (2e-12 of it at the threshold).  The rank-one
-# shear modulus A_ijij switches the same way (``_rank_one_minimum``).
+# shear modulus A_ijij switches the same way (``_rank_one_candidates``).
 _COINCIDENT = 1e-6
 
-# basis6 slots 3, 4, 5 hold the shear pairs 12, 23, 31
+# the shear scalars are ordered like basis6 slots 3, 4, 5: pairs 12, 23, 31
 _SHEAR_PAIRS = ((0, 1), (1, 2), (2, 0))
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+_S2, _S3, _S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
+
+# Sym(3) basis adapted to a principal frame: the (dev, dev, vol) diagonal
+# tensors, then the shear elements of basis6
+_FRAME = np.stack(
+    [np.diag([1.0, -1.0, 0.0]) / _S2, np.diag([1.0, 1.0, -2.0]) / _S6, np.eye(3) / _S3]
+    + list(basis6()[3:])
+)
+_DEV = [0, 1, 3, 4, 5]  # the trace-free elements of _FRAME
 
 
 def dev_basis5():
     """Orthonormal basis of the trace-free subspace of Sym(3)."""
-    s2, s6 = math.sqrt(2.0), math.sqrt(6.0)
-    d1 = np.diag([1.0, -1.0, 0.0]) / s2
-    d2 = np.diag([1.0, 1.0, -2.0]) / s6
-    off = basis6()[3:]
-    return (d1, d2) + tuple(off)
-
-
-# columns: basis6 coordinates of the dev_basis5 elements
-_DEV5 = np.stack([vec6(E) for E in dev_basis5()], axis=-1)
+    return tuple(_FRAME[_DEV])
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,28 @@ class ProbeResult:
     eta: np.ndarray
 
 
+@dataclass(frozen=True)
+class PrincipalBlock:
+    """The principal-frame tangent for stretch states (..., 3): the normal
+    block in the (dev, dev, vol) basis (2x2 if incompressible) and the shear
+    scalars of the pairs 12, 23, 31; and the margins it decides: ``csp``,
+    the tangent's smallest eigenvalue, ``be`` (0 when no two stretches
+    differ), ``te`` and the rank-one minimum ``lh`` (NaN if incompressible).
+    """
+
+    normal: np.ndarray
+    shear: np.ndarray
+    csp: np.ndarray
+    be: np.ndarray
+    te: np.ndarray
+    lh: np.ndarray
+
+    def witnessed(self):
+        """Margin name -> where the state witnesses a violation (a margin
+        below WITNESS_MARGIN; NaN never does), in the order csp, be, te, lh."""
+        return {name: getattr(self, name) < WITNESS_MARGIN for name in ("csp", "be", "te", "lh")}
+
+
 def _principal_reconstruct(principal_fn, Y):
     """Evaluate a principal-value stress law at log V = Y (stacked ok)."""
     x, Q = eig_sym(Y)
@@ -128,63 +150,117 @@ def _principal_reconstruct(principal_fn, Y):
     return np.einsum("...ik,...k,...jk->...ij", Q, vals, Q)
 
 
-def _rotation6(Q):
-    """basis6 coordinates in the frame with columns Q -> lab basis6
-    coordinates, as a (..., 6, 6) orthogonal matrix."""
-    B = np.stack(basis6())
-    return np.swapaxes(vec6(np.einsum("...ik,bkl,...jl->...bij", Q, B, Q)), -1, -2)
+def _normal_components(v):
+    """Components of v (..., 3) in the (dev, dev, vol) basis, written out
+    so a state gives the same bits in any batch."""
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([(v0 - v1) / _S2, (v0 + v1 - 2.0 * v2) / _S6, (v0 + v1 + v2) / _S3], axis=-1)
 
 
-def _log_tangent(s, G, x, frame=None, deviatoric=False):
-    """Symmetrized tangent of the principal stress law s(x) with Jacobian G
-    with respect to log V, by Hill's principal-axis formula (module
-    docstring); batched over the leading axes of x (..., 3).
-
-    The result is in principal-frame basis6 coordinates, or in lab basis6
-    coordinates when ``frame`` holds the eigenvector columns of V;
-    ``deviatoric`` restricts it to dev_basis5 coordinates, (..., 5, 5).
-    """
-    M = np.zeros(x.shape[:-1] + (6, 6))
-    M[..., :3, :3] = 0.5 * (G + np.swapaxes(G, -1, -2))
-    for k, (i, j) in enumerate(_SHEAR_PAIRS, start=3):
-        dx = x[..., i] - x[..., j]
+def principal_block(model: MaterialModel, lams) -> PrincipalBlock:
+    """The principal-frame tangent and margins at principal stretches
+    ``lams`` (..., 3) (module docstring).  Incompressible models are
+    evaluated at the unimodular state with the same stretch ratios."""
+    lams = np.asarray(lams, dtype=float)
+    x = np.log(lams)
+    if model.incompressible:
+        x = x - np.mean(x, axis=-1, keepdims=True)
+        lams = np.exp(x)
+        s, G = model.stress_jac(x)
+    else:
+        tau, v = model.ghat_grad_split(x)
+        H, c = model.ghat_hess_split(x)
+        inv_J = np.exp(-np.sum(x, axis=-1))
+        # sigma and G less the volumetric terms, which cancel from differences
+        s, G = tau * inv_J[..., None], H * inv_J[..., None, None]
+    sym = 0.5 * (G + np.swapaxes(G, -1, -2))
+    K = _normal_components(np.swapaxes(_normal_components(sym), -1, -2))  # U sym(G) U^T
+    shear, be = [], np.full(x.shape[:-1], np.inf)
+    for i, j in _SHEAR_PAIRS:
+        ds, dx, dl = s[..., i] - s[..., j], x[..., i] - x[..., j], lams[..., i] - lams[..., j]
         near = np.abs(dx) <= _COINCIDENT
         limit = 0.5 * (G[..., i, i] - G[..., i, j] - G[..., j, i] + G[..., j, j])
-        M[..., k, k] = np.where(near, limit, (s[..., i] - s[..., j]) / np.where(near, 1.0, dx))
-    if frame is not None:
-        R = _rotation6(frame)
-        M = R @ M @ np.swapaxes(R, -1, -2)
-    if deviatoric:
-        M = _DEV5.T @ M @ _DEV5
-    return M
+        shear.append(np.where(near, limit, ds / np.where(near, 1.0, dx)))
+        be = np.where(dl != 0.0, np.minimum(be, ds * dl), be)
+    shear, be = np.stack(shear, axis=-1), np.where(be == np.inf, 0.0, be)  # 0: no pair differs
+    if model.incompressible:
+        normal = K[..., :2, :2]
+        te = lh = np.full(x.shape[:-1], np.nan)
+    else:
+        # the full sym(G) adds -sym(s (x) 1) + (c - v) 11^T / J, the first
+        # term to the (dev, vol) column and vol-vol, the second to vol-vol
+        w = _normal_components(s)
+        normal = K.copy()
+        normal[..., 2, :2] = normal[..., :2, 2] = K[..., :2, 2] - 0.5 * _S3 * w[..., :2]
+        normal[..., 2, 2] = K[..., 2, 2] - _S3 * w[..., 2] + 3.0 * (c - v) * inv_J
+        g_diag = inv_J[..., None] * ((np.diagonal(H, axis1=-2, axis2=-1) + c[..., None])
+                                     - (tau + v[..., None]))
+        te = np.min(g_diag / lams, axis=-1)
+        lh = np.min(_rank_one_candidates(model, lams)[0], axis=-1)
+    csp = np.minimum(_normal_eigenvalues(normal, 1)[..., 0], np.min(shear, axis=-1))
+    return PrincipalBlock(normal, shear, csp, be, te, lh)
 
 
-def _be_margin(s, lams):
-    """Ordered-force (Baker-Ericksen) margin, the minimum over pairs with
-    distinct stretches of (s_i - s_j)(lambda_i - lambda_j), 0 when every pair
-    is vacuous; batched over leading axes."""
-    margin = np.zeros(lams.shape[:-1])
-    seen = np.zeros(lams.shape[:-1], dtype=bool)
-    for i, j in _PAIRS:
-        distinct = lams[..., i] != lams[..., j]
-        v = (s[..., i] - s[..., j]) * (lams[..., i] - lams[..., j])
-        margin = np.where(distinct & (~seen | (v < margin)), v, margin)
-        seen = seen | distinct
-    return margin
+def _normal_eigenvalues(N, k):
+    """The k smallest eigenvalues of the normal block N, ascending.
+
+    The (dev, dev) block has eigenvalues a_1 <= a_2 in closed form.  With a
+    (dev, vol) column b and vol-vol entry d, the eigenvalues are the roots
+    of the secular equation f(l) = d - l - sum_k beta_k^2 / (a_k - l), beta
+    = b in the eigenvectors of a; f decreases between its poles a_k.  The
+    roots interlace the a_k and lie within |b| of the sorted (a_1, a_2, d)
+    (Weyl).  13 passes each cut the bracket (width <= 2 |b| at first) into
+    16 parts, evaluate f at the inner points and keep the part holding the
+    root: 52 bits leave an error of order eps max(|b|, |l|), however large d is.
+    """
+    p, q, r = N[..., 0, 0], N[..., 1, 1], N[..., 0, 1]
+    mean, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), r)
+    a = np.stack([mean - radius, mean + radius], axis=-1)
+    if N.shape[-1] == 2:
+        return a[..., :k]
+    phi = 0.5 * np.arctan2(2.0 * r, p - q)  # a_2 has the eigenvector (cos phi, sin phi)
+    b0, b1, d = N[..., 0, 2], N[..., 1, 2], N[..., 2, 2]
+    cos, sin = np.cos(phi), np.sin(phi)
+    beta1, beta2 = ((cos * b1 - sin * b0) ** 2)[..., None], ((cos * b0 + sin * b1) ** 2)[..., None]
+    norm_b = np.hypot(b0, b1)[..., None]
+    diag = np.sort(np.stack([a[..., 0], a[..., 1], d], axis=-1), axis=-1)
+    inf = np.full(d.shape, np.inf)
+    lo = np.maximum(diag - norm_b, np.stack([-inf, a[..., 0], a[..., 1]], axis=-1))[..., :k]
+    hi = np.minimum(diag + norm_b, np.stack([a[..., 0], a[..., 1], inf], axis=-1))[..., :k]
+    hi[..., 0] = diag[..., 0]  # l_1 <= min(a_1, d)
+    a1, a2, d = a[..., :1], a[..., 1:], d[..., None]
+    width = hi - lo
+    parts = np.arange(1.0, 16.0).reshape((15,) + (1,) * lo.ndim)  # on a leading axis
+    # the bracket is [lo, lo + width]; a point can land on a pole only
+    # within an ulp of it, where the term is +-inf, or NaN when its beta is
+    # 0, and either way the bracket keeps the root to that ulp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(np.finfo(float).nmant // 4):
+            width = width / 16.0
+            mid = lo + width * parts
+            ahead = d - mid > beta1 / (a1 - mid) + beta2 / (a2 - mid)  # f(mid) > 0
+            lo = np.where(ahead, mid, lo).max(axis=0)
+    return lo + 0.5 * width
 
 
-def _te_margin(G, lams):
-    """Tension-extension margin min_i d sigma_i / d lambda_i with the other
-    stretches held, = min_i G_ii / lambda_i; batched over leading axes."""
-    return np.min(np.diagonal(G, axis1=-2, axis2=-1) / lams, axis=-1)
-
-
-def _log_frame(V):
-    """Log-stretches and eigenvector frame of a positive-definite V."""
-    d, Q = eig_sym(V)
-    if np.any(d[..., -1] <= 0.0):
+def _tangent(model, V):
+    """The block tangent at V.  ``matrix`` is the block rotated into the lab
+    frame, in basis6 coordinates, or in dev_basis5 ones for incompressible
+    models at unimodular V; only this attribute needs the rotation."""
+    lams, Q = eig_sym(V)
+    if np.any(lams <= 0.0):
         raise DomainError("log V requires a positive-definite tensor")
-    return np.log(d), Q
+    log_det = float(np.sum(np.log(lams)))
+    if model.incompressible and abs(log_det) > 1e-8:
+        raise DomainError(f"hill_tangent needs det V = 1, got log det V = {log_det}")
+    block = principal_block(model, lams)
+    n = block.normal.shape[-1]
+    frame = _FRAME if n == 3 else _FRAME[_DEV]
+    lab = np.stack(basis6()) if n == 3 else frame
+    R = np.einsum("aij,ik,bkl,jl->ab", lab, Q, frame, Q)  # <lab_a, Q frame_b Q^T>
+    Rn, Rs = R[:, :n], R[:, n:]
+    eigenvalues = np.sort(np.concatenate([_normal_eigenvalues(block.normal, n), block.shear]))
+    return TangentMatrix6(Rn @ block.normal @ Rn.T + (Rs * block.shear) @ Rs.T, eigenvalues)
 
 
 def tsts_tangent(model: MaterialModel, V) -> TangentMatrix6:
@@ -197,9 +273,7 @@ def tsts_tangent(model: MaterialModel, V) -> TangentMatrix6:
     """
     if model.incompressible:
         raise UsageError(f"model '{model.kind}' is incompressible; use hill_tangent")
-    x, Q = _log_frame(V)
-    M = _log_tangent(*model.stress_jac(x), x, frame=Q)
-    return TangentMatrix6(M, np.linalg.eigvalsh(M))
+    return _tangent(model, V)
 
 
 def hill_tangent(model: MaterialModel, V) -> TangentMatrix6:
@@ -209,13 +283,7 @@ def hill_tangent(model: MaterialModel, V) -> TangentMatrix6:
     perturbations of log V stay on the det V = 1 manifold."""
     if not model.incompressible:
         raise UsageError(f"model '{model.kind}' is compressible; use tsts_tangent")
-    x, Q = _log_frame(V)
-    t = float(np.sum(x))
-    if abs(t) > 1e-8:
-        raise DomainError(f"hill_tangent needs det V = 1, got log det V = {t}")
-    x = x - t / 3.0
-    M = _log_tangent(*model.stress_jac(x), x, frame=Q, deviatoric=True)
-    return TangentMatrix6(M, np.linalg.eigvalsh(M))
+    return _tangent(model, V)
 
 
 def two_point_monotonicity(model, V1, V2, measure="cauchy") -> float:
@@ -268,20 +336,15 @@ def be_te_check(model, state: StretchState) -> BeTeResult:
     three stretches are equal.  The tension-extension margin is
     min_i d sigma_i / d lambda_i = min_i G_ii / lambda_i with the other
     stretches held fixed and G = d sigma / d x the exact stress Jacobian.
+    Both come from ``principal_block``.
     """
     if model.incompressible:
         raise UsageError(
             f"model '{model.kind}' is incompressible; BE/TE need pointwise Cauchy stress"
         )
-    lams = state.as_array()
-    be_margin = float(_be_margin(principal_stresses(model, state).cauchy, lams))
-    te_margin = float(_te_margin(model.stress_jac(state.log())[1], lams))
-    return BeTeResult(
-        be_ok=be_margin > HOLD_MARGIN,
-        te_ok=te_margin > HOLD_MARGIN,
-        be_margin=be_margin,
-        te_margin=te_margin,
-    )
+    block = principal_block(model, state.as_array())
+    be, te = float(block.be), float(block.te)
+    return BeTeResult(be > HOLD_MARGIN, te > HOLD_MARGIN, be, te)
 
 
 # --- rank-one (Legendre-Hadamard) minimum ----------------------------------------
@@ -318,10 +381,13 @@ def _simplex_candidates(M):
     return np.stack(points, axis=-2)
 
 
-def _rank_one_minimum(model, lams):
-    """Exact minimum over unit xi, eta of the rank-one form
-    xi(x)eta : A : xi(x)eta, A = d2W/dFdF at F = diag(lams), and a pair
-    (xi, eta) attaining it; batched over stretches of shape (..., 3).
+def _rank_one_candidates(model, lams):
+    """Candidate values of the rank-one form xi(x)eta : A : xi(x)eta,
+    A = d2W/dFdF at F = diag(lams), whose least is the exact minimum over
+    unit xi, eta; batched over stretches of shape (..., 3).  Returns the
+    values (..., 31), for each sign vector s the seven simplex candidates v
+    (``_simplex_candidates``) and then the axis pairs ``_PAIRS``, and the
+    simplex points (..., 4, 7, 3).
 
     In the principal frame A has the entries A_iijj = W_ij,
     A_ijij = (lambda_i W_i - lambda_j W_j) / (lambda_i^2 - lambda_j^2) and
@@ -360,20 +426,8 @@ def _rank_one_minimum(model, lams):
     M = (diag + shear)[..., None, :, :] + signs * coupling[..., None, :, :]  # (..., 4, 3, 3)
     v = _simplex_candidates(M)  # (..., 4, 7, 3)
     values = np.einsum("...ki,...ij,...kj->...k", v, M, v).reshape(shape + (28,))
-    eta = np.sqrt(v)
-    xi = (_SIGNS[:, None, :] * eta).reshape(shape + (28, 3))
-    eta = eta.reshape(shape + (28, 3))
-    # the axis pairs xi = e_i, eta = e_j
-    first, second = [0, 0, 1], [1, 2, 2]
-    values = np.concatenate([values, shear[..., first, second]], axis=-1)
-    xi = np.concatenate([xi, np.broadcast_to(np.eye(3)[first], shape + (3, 3))], axis=-2)
-    eta = np.concatenate([eta, np.broadcast_to(np.eye(3)[second], shape + (3, 3))], axis=-2)
-    k = np.argmin(values, axis=-1)[..., None]
-    return (
-        np.take_along_axis(values, k, axis=-1)[..., 0],
-        np.take_along_axis(xi, k[..., None], axis=-2)[..., 0, :],
-        np.take_along_axis(eta, k[..., None], axis=-2)[..., 0, :],
-    )
+    first, second = [0, 0, 1], [1, 2, 2]  # the axis pairs
+    return np.concatenate([values, shear[..., first, second]], axis=-1), v
 
 
 def lh_ellipticity_probe(model, state) -> ProbeResult:
@@ -384,8 +438,8 @@ def lh_ellipticity_probe(model, state) -> ProbeResult:
 
     ``state`` is a StretchState, its three stretches, or a (3, 3) deformation
     gradient with det F > 0.  By isotropy the minimum at F = U diag(lambda)
-    V^T is the one at diag(lambda) (``_rank_one_minimum``), with the witness
-    rotated back to U xi, V eta.
+    V^T is the one at diag(lambda) (``_rank_one_candidates``), with the
+    witness rotated back to U xi, V eta.
     """
     if model.incompressible:
         raise UsageError(
@@ -398,8 +452,14 @@ def lh_ellipticity_probe(model, state) -> ProbeResult:
     if not np.linalg.det(F) > 0.0:
         raise DomainError("deformation gradient must have positive determinant")
     U, lams, Vt = np.linalg.svd(F)
-    value, xi, eta = _rank_one_minimum(model, lams)
-    return ProbeResult(value=float(value), xi=U @ xi, eta=Vt.T @ eta)
+    values, v = _rank_one_candidates(model, lams)
+    k = int(np.argmin(values))
+    if k < 28:  # a simplex point v of the sign vector s: xi = s sqrt(v), eta = sqrt(v)
+        eta = np.sqrt(v.reshape(28, 3)[k])
+        xi = _SIGNS[k // 7] * eta
+    else:  # an axis pair xi = e_i, eta = e_j
+        xi, eta = np.eye(3)[list(_PAIRS[k - 28])]
+    return ProbeResult(value=float(values[k]), xi=U @ xi, eta=Vt.T @ eta)
 
 
 # --- region scanner -------------------------------------------------------------
@@ -506,21 +566,7 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
     n_states = len(states)
     x = np.log(states)
     incomp = model.incompressible
-
-    # grid states are diagonal: the principal frame is the lab frame
-    if incomp:
-        xdev = x - np.mean(x, axis=-1, keepdims=True)
-        sig, G = model.stress_jac(xdev)  # pressure-free differences only
-        csp_min = np.linalg.eigvalsh(_log_tangent(sig, G, xdev, deviatoric=True))[:, 0]
-        be = _be_margin(sig, np.exp(xdev))
-        te = np.full(n_states, np.nan)
-        lh = np.full(n_states, np.nan)
-    else:
-        sig, G = model.stress_jac(x)
-        csp_min = np.linalg.eigvalsh(_log_tangent(sig, G, x))[:, 0]
-        be = _be_margin(sig, states)
-        te = _te_margin(G, states)
-        lh = _rank_one_minimum(model, states)[0]
+    block = principal_block(model, states)  # grid states are diagonal
 
     # sampled two-point checks
     rng = np.random.default_rng(seed)
@@ -541,6 +587,7 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
     if incomp:
         tsts_vals = hill_vals.copy()
     else:
+        sig = model.cauchy_principal(x)
         tsts_vals = np.sum(
             (sig[pair_idx[:, 0]] - sig[pair_idx[:, 1]]) * (x[pair_idx[:, 0]] - x[pair_idx[:, 1]]),
             axis=-1,
@@ -549,38 +596,26 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
     tsts_ok = np.ones(n_states, dtype=bool)
     hill_ok = np.ones(n_states, dtype=bool)
     violations = []
-    for n in range(n_states):
+    witnessed = block.witnessed()
+    for n in np.flatnonzero(np.any(list(witnessed.values()), axis=0)):
         st = [float(v) for v in states[n]]
-        if csp_min[n] < WITNESS_MARGIN:
-            violations.append({"check": "csp", "state": st, "margin": float(csp_min[n])})
-        if be[n] < WITNESS_MARGIN:
-            violations.append({"check": "be", "state": st, "margin": float(be[n])})
-        if np.isfinite(te[n]) and te[n] < WITNESS_MARGIN:
-            violations.append({"check": "te", "state": st, "margin": float(te[n])})
-        if np.isfinite(lh[n]) and lh[n] < WITNESS_MARGIN:
-            violations.append({"check": "lh", "state": st, "margin": float(lh[n])})
+        for check, bad in witnessed.items():
+            if bad[n]:
+                margin = float(getattr(block, check)[n])
+                violations.append({"check": check, "state": st, "margin": margin})
     for k in range(n_pairs):
         a, b = pair_idx[k]
-        if tsts_vals[k] < WITNESS_MARGIN:
-            tsts_ok[a] = tsts_ok[b] = False
-            violations.append(
-                {
-                    "check": "tsts_m_plus",
-                    "state": [float(v) for v in states[a]],
-                    "state2": [float(v) for v in states[b]],
-                    "margin": float(tsts_vals[k]),
-                }
-            )
-        if hill_vals[k] < WITNESS_MARGIN:
-            hill_ok[a] = hill_ok[b] = False
-            violations.append(
-                {
-                    "check": "hill",
-                    "state": [float(v) for v in states[a]],
-                    "state2": [float(v) for v in states[b]],
-                    "margin": float(hill_vals[k]),
-                }
-            )
+        for check, vals, ok in (("tsts_m_plus", tsts_vals, tsts_ok), ("hill", hill_vals, hill_ok)):
+            if vals[k] < WITNESS_MARGIN:
+                ok[a] = ok[b] = False
+                violations.append(
+                    {
+                        "check": check,
+                        "state": [float(v) for v in states[a]],
+                        "state2": [float(v) for v in states[b]],
+                        "margin": float(vals[k]),
+                    }
+                )
 
     return StabilityReport(
         model_kind=model.kind,
@@ -589,10 +624,10 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
         seed=int(seed),
         indices=idx,
         states=states,
-        csp_min_eig=csp_min,
-        be_margin=be,
-        te_margin=te,
-        lh_min=lh,
+        csp_min_eig=block.csp,
+        be_margin=block.be,
+        te_margin=block.te,
+        lh_min=block.lh,
         tsts_m_plus_ok=tsts_ok,
         hill_ok=hill_ok,
         pair_indices=pair_idx,

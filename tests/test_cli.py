@@ -105,6 +105,47 @@ def test_check_flags_unstable_state(capsys):
     assert json.loads(out)["violations"] == []
 
 
+def test_large_stretch_has_no_false_csp_verdict(capsys):
+    # the volumetric entry of the tangent (~1e28 at 15.25^3) once drowned the
+    # deviatoric eigenvalues: tangent_min_eig -3.46e11 and a csp violation,
+    # and 8 roundoff csp witnesses on the 0.5:30:3 scan; 60-digit mpmath
+    # gives +2648248.60786
+    code, out, _ = run_cli(
+        capsys, "check", *EXPH, "--protocol", "hydrostatic", "--at", "15.25", "--expect-stable",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["stability"]["tangent_min_eig"] == pytest.approx(2648248.60786, rel=1e-8)
+    assert payload["violations"] == []
+    code, out, _ = run_cli(capsys, "scan", *EXPH, "--grid", "0.5:30:3")
+    assert code == 0
+    assert json.loads(out)["counts"]["violations"]["csp"] == 0
+
+
+COMPRESSIBLE_ARGS = {
+    "exp_hencky": EXPH,
+    "quadratic_hencky": QH,
+    "neo_hooke_vol_iso": ("--model", "neo_hooke_vol_iso", "--mu", "1", "--kappa", "3"),
+}
+
+
+@pytest.mark.parametrize("kind", list(COMPRESSIBLE_ARGS))
+def test_check_and_scan_read_one_path(capsys, tmp_path, kind):
+    # check evaluates its state as a batch of one through the same function
+    # as the scan grid, so the margins agree bit for bit
+    args = COMPRESSIBLE_ARGS[kind]
+    code, out, _ = run_cli(capsys, "check", *args, "--protocol", "hydrostatic", "--at", "2.0")
+    assert code == 0
+    stability = json.loads(out)["stability"]
+    csv = tmp_path / "scan.csv"
+    assert run_cli(capsys, "scan", *args, "--grid", "0.5:3:6", "--out", str(csv))[0] == 0
+    header, *rows = (line.split(",") for line in csv.read_text().splitlines())
+    (row,) = [dict(zip(header, r)) for r in rows if r[3:6] == ["2.0", "2.0", "2.0"]]
+    for column, key in (("csp_min_eig", "tangent_min_eig"), ("be_margin", "be_margin"),
+                        ("te_margin", "te_margin"), ("lh_min_probe", "lh_min_probe")):
+        assert row[column] == repr(stability[key]), column
+
+
 def test_rate_verify(capsys):
     code, out, _ = run_cli(capsys, "rate-verify", *QH, "--cases", "10", "--seed", "1")
     assert code == 0

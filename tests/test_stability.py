@@ -2,14 +2,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corostab import materials as mat
 from corostab import stability as stab
 from corostab import tensor3 as t3
-from corostab.errors import DomainError, UsageError
+from corostab.errors import DomainError, SolverError, UsageError
 from corostab.materials import StretchState, instantiate_model
+from corostab.protocols import PROTOCOL_KINDS, Protocol, incremental_moduli, lateral_closure
 from corostab.stability import (
     be_te_check,
     hill_tangent,
@@ -131,6 +132,38 @@ def test_quadratic_hencky_violation_exists(catalog):
     assert tan.min_eigenvalue < -1e-2
 
 
+# Smallest eigenvalue of the exp_hencky (mu 1, lambda 2, k 1, khat 1) tangent
+# and its ordered-force margin from 60-digit mpmath (the full sym(G) and the
+# shear quotients, eigenvalues by mpmath.eigsy), with a scan grid holding each
+# state.  Up to (30, 30, 30) the vol-vol entry of the normal block reaches
+# ~1e45 against ~1e15 for the deviatoric entries.
+_LARGE_STRETCH_EXACT = {
+    (15.25, 15.25, 15.25): (2648248.60786, 0.0, (15.25, 15.25, 1)),
+    (10.0, 10.0, 10.0): (16172.8021875, 0.0, (10.0, 10.0, 1)),
+    (15.25, 15.25, 30.0): (84952374.611, 847834358.5077, (0.5, 30.0, 3)),
+    (15.25, 30.0, 30.0): (2725161803.4, 27197424674.62, (0.5, 30.0, 3)),
+    (30.0, 30.0, 30.0): (87419649994.5, 0.0, (0.5, 30.0, 3)),
+    (0.5, 30.0, 30.0): (80248599.6329, 9692679817.22, (0.5, 30.0, 3)),
+    (0.5, 0.5, 30.0): (47595.3154389, 8897587.465416, (0.5, 30.0, 3)),
+    (2.0, 1.3, 0.7): (2.16152872905, 0.6518047543821, (0.7, 2.0, 14)),
+}
+
+
+@pytest.mark.parametrize("state", list(_LARGE_STRETCH_EXACT))
+def test_margins_exact_at_any_stress_scale(catalog, state):
+    # a dense eigensolve of the tangent lost the deviatoric eigenvalues to the
+    # volumetric entry (-3.46e11 at 15.25^3), and differences of full Cauchy
+    # stresses lost the ordered-force products (-0.0 at (15.25, 30, 30))
+    m = catalog["exp_hencky"]
+    csp, be, grid = _LARGE_STRETCH_EXACT[state]
+    assert tsts_tangent(m, diag_V(*state)).min_eigenvalue == pytest.approx(csp, rel=1e-8)
+    assert be_te_check(m, StretchState(*state)).be_margin == pytest.approx(be, rel=1e-8)
+    rep = region_scan(m, grid=grid, pairs=0)
+    (n,) = np.flatnonzero(np.all(rep.states == state, axis=-1))
+    assert rep.csp_min_eig[n] == pytest.approx(csp, rel=1e-8)
+    assert rep.be_margin[n] == pytest.approx(be, rel=1e-8)
+
+
 def test_tangent_off_diagonal_state(catalog):
     # a rotated state must give the rotated-invariant spectrum
     m = catalog["exp_hencky"]
@@ -243,8 +276,6 @@ def test_be_shear_block_consequence(catalog):
 def test_te_failure_matches_negative_modulus(catalog):
     # beyond the modulus zero-crossing the uniaxial state carries a negative
     # tension-extension margin in the driving direction
-    from corostab.protocols import Protocol, incremental_moduli, lateral_closure
-
     m = catalog["quadratic_hencky"]
     p = Protocol("uniaxial")
     lam1 = 13.0  # e^2.5 ~ 12.18
@@ -254,6 +285,44 @@ def test_te_failure_matches_negative_modulus(catalog):
     r = be_te_check(m, StretchState(lam1, c.lam2, c.lam3))
     assert not r.te_ok
     assert r.te_margin < 0.0
+
+
+def _compressible_model(draw):
+    kind = draw(st.sampled_from(("exp_hencky", "quadratic_hencky", "neo_hooke_vol_iso")))
+    positive = st.floats(0.2, 3.0)
+    if kind == "neo_hooke_vol_iso":
+        params = {"mu": draw(positive), "kappa": draw(st.floats(0.2, 10.0))}
+    else:
+        params = {"E": draw(positive), "nu": draw(st.floats(-0.5, 0.45))}
+        if kind == "exp_hencky":
+            params.update(k=draw(st.floats(0.1, 1.5)), khat=draw(st.floats(0.1, 1.5)))
+    return instantiate_model(kind, params)
+
+
+@st.composite
+def _closure_cases(draw):
+    """A compressible model with random parameters, a protocol and lambda1."""
+    return (_compressible_model(draw), draw(st.sampled_from(PROTOCOL_KINDS)),
+            draw(st.floats(0.2, 5.0)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_closure_cases())
+def test_csp_implies_moduli_be_and_te(case):
+    # the paper's central result: where the tangent is positive definite at a
+    # solved protocol state, the incremental modulus is positive and the
+    # ordered-force and tension-extension inequalities hold
+    m, kind, lam1 = case
+    protocol = Protocol(kind)
+    try:
+        c = lateral_closure(m, protocol, lam1)
+    except SolverError:  # no traction-free lateral state (some nu < 0 exp_hencky)
+        assume(False)
+    block = stab.principal_block(m, [lam1, c.lam2, c.lam3])
+    if block.csp > stab.HOLD_MARGIN:
+        assert incremental_moduli(m, protocol, lam1, closure=c)[0] > 0.0
+        assert block.be > stab.HOLD_MARGIN
+        assert block.te > stab.HOLD_MARGIN
 
 
 def test_be_te_rejects_incompressible(catalog):
@@ -286,24 +355,12 @@ def test_probe_finds_quadratic_hencky_witness(catalog):
     assert replay == pytest.approx(r.value, rel=1e-6, abs=1e-10)
 
 
-def _rank_one_model(draw):
-    kind = draw(st.sampled_from(("exp_hencky", "quadratic_hencky", "neo_hooke_vol_iso")))
-    positive = st.floats(0.2, 3.0)
-    if kind == "neo_hooke_vol_iso":
-        params = {"mu": draw(positive), "kappa": draw(st.floats(0.2, 10.0))}
-    else:
-        params = {"E": draw(positive), "nu": draw(st.floats(-0.5, 0.45))}
-        if kind == "exp_hencky":
-            params.update(k=draw(st.floats(0.1, 1.5)), khat=draw(st.floats(0.1, 1.5)))
-    return instantiate_model(kind, params)
-
-
 @st.composite
 def _rank_one_cases(draw):
     """A compressible model with random parameters, stretches that are
     distinct, two coincident or all three coincident (in random order), and
     two random rotations."""
-    m = _rank_one_model(draw)
+    m = _compressible_model(draw)
     x0 = draw(st.floats(-1.5, 1.5))
     gaps = st.floats(0.05, 1.5)
     pattern = draw(st.sampled_from(("distinct", "two", "three")))
