@@ -15,7 +15,8 @@ Models may also come from a JSON config file (--config) with keys
 Outputs are deterministic for identical configuration and seed: CSV numbers
 use the shortest round-trip float representation, JSON keys are sorted.
 
-Exit status: 0 success; 1 usage, configuration or solver error; 2 when
+Exit status: 0 success; 1 usage, configuration, solver or domain error (sweep
+and scan after their output when a computed value is not finite); 2 when
 --expect-stable was given and a constitutive check (tangent positivity,
 ordered-force, tension-extension, or a sampled monotonicity pair) failed.
 The exact rank-one (Legendre-Hadamard) minimum is reported but never gates
@@ -190,10 +191,20 @@ def _json_line(payload):
         raise DomainError(f"non-finite value in the result {payload}") from None
 
 
+def _fail_on_nonfinite(where, name, states, *columns):
+    """A DomainError naming how many of ``states`` have a non-finite value in
+    ``columns`` and the first of them.  ``sweep`` and ``scan`` raise it after
+    writing their rows, which keep their bytes, ``check`` and ``moduli`` before."""
+    bad = ~np.all(np.isfinite(np.stack(columns, axis=-1)), axis=-1)
+    if np.any(bad):
+        raise DomainError(f"{where}{np.count_nonzero(bad)} of {bad.size} states have a non-finite "
+                          f"value, the first at {name} = {states[np.argmax(bad)].tolist()}")
+
+
 def _solved_state(model, protocol, lam1):
     """Closure and curve row of one protocol state, checked once for range:
-    a stress, energy or modulus beyond the double range at a representable
-    stretch is a DomainError naming the state.
+    a stretch, stress, energy or modulus beyond the double range at a
+    representable stretch is a DomainError naming the state.
 
     The commands that call this run with numpy's overflow and invalid-
     operation warnings silenced: a cold closure's bracketing scan meets
@@ -202,30 +213,21 @@ def _solved_state(model, protocol, lam1):
     ``_json_line``."""
     closure = lateral_closure(model, protocol, lam1)
     row = _curve_rows(model, protocol, [lam1], [closure])
-    values = (
-        closure.lam2,
-        closure.lam3,
-        closure.pressure or 0.0,
-        row.stress_driving[0],
-        row.stress_biot[0],
-        row.energy[0],
-        row.modulus_incr[0],
-        row.modulus_incr_log[0],
-    )
-    if not np.all(np.isfinite(values)):
-        raise DomainError(
-            f"protocol '{protocol.kind}' at lambda1 = {lam1}: the stress, energy "
-            f"or modulus of the solved state is outside the floating-point range"
-        )
+    _fail_on_nonfinite(f"protocol '{protocol.kind}': ", "lambda1", row.lambda1, *vars(row).values())
     return closure, row
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_sweep(args):
     model = resolve_model(args)
     lam_min, lam_max, steps = _grid_triplet(args, "sweep")
     protocol = Protocol(args.protocol)
     table = sweep(model, protocol, lam_min, lam_max, steps, with_moduli=not args.no_moduli)
     _emit(table.to_csv(), args.out)
+    moduli = [] if args.no_moduli else [table.modulus_incr, table.modulus_incr_log]
+    _fail_on_nonfinite(f"protocol '{protocol.kind}': ", "lambda1", table.lambda1,
+                       table.lambda_lateral, table.stress_driving, table.stress_biot, table.energy,
+                       *moduli)
     return 0
 
 
@@ -288,6 +290,7 @@ def _json_out_path(csv_path):
     return (base if ext == ".csv" else csv_path) + ".json"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_scan(args):
     model = resolve_model(args)
     ranged = args.grid or any(
@@ -302,6 +305,9 @@ def _cmd_scan(args):
             fh.write(report.to_json_summary() + "\n")
     else:
         sys.stdout.write(report.to_json_summary() + "\n")
+    te_lh = [] if model.incompressible else [report.te_margin, report.lh_min]  # NaN by design
+    _fail_on_nonfinite("", "stretches", report.states, report.csp_min_eig, report.be_margin,
+                       *te_lh)
     bad = sum(report.violation_count(c) for c in _CONSTITUTIVE_CHECKS)
     if args.expect_stable and bad:
         return 2

@@ -18,9 +18,9 @@ variant uses the Biot-type rule t_i = d g / d lambda_i.
 
 Incremental moduli come from ``stress_jac``: the principal stress law s(x)
 (Cauchy if compressible, extra Kirchhoff if incompressible) together with
-its exact Jacobian G_ij = d s_i / d x_j.  The stability checks read the same
-derivatives with the volumetric term kept apart (``ghat_grad_split``,
-``ghat_hess_split``).
+its exact Jacobian G_ij = d s_i / d x_j.  The stability checks, the rank-one
+minimum included, read the same derivatives with the volumetric term kept
+apart (``ghat_grad_split``, ``ghat_hess_split``).
 
 Energies are normalized so the reference state has zero energy; the shift
 does not affect any stress.
@@ -47,7 +47,6 @@ __all__ = [
     "StressState",
     "StretchState",
     "cauchy_from_B",
-    "energy_and_derivatives",
     "energy_from_F",
     "instantiate_model",
     "principal_stresses",
@@ -580,21 +579,6 @@ def instantiate_model(kind: str, parameters: Mapping[str, float]) -> MaterialMod
         _reject_extras(kind, params, used | {"k"})
         return ExponentiatedHenckyIncompressible(mu, params["k"])
     raise ConfigurationError(f"unknown model kind '{kind}' (known: {', '.join(MODEL_KINDS)})")
-
-
-def energy_and_derivatives(model: MaterialModel, lams):
-    """Energy W and its first and second derivatives W_i, W_ij with respect to
-    the principal stretches, batched over stretches of shape (..., 3).
-
-    Derivatives are analytic via the log-space gradient g and Hessian H of
-    ghat: W_i = g_i / l_i and W_ij = (H_ij - delta_ij g_i) / (l_i l_j).
-    The Hessian is symmetrized to kill roundoff asymmetry.
-    """
-    lams = np.asarray(lams, dtype=float)
-    x = np.log(lams)
-    g = model.ghat_grad(x)
-    W2 = (model.ghat_hess(x) - g[..., None] * np.eye(3)) / (lams[..., :, None] * lams[..., None, :])
-    return model.ghat(x) - model.energy_offset, g / lams, 0.5 * (W2 + np.swapaxes(W2, -1, -2))
 
 
 def principal_stresses(model, state: StretchState, pressure=None) -> StressState:

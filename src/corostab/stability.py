@@ -37,11 +37,12 @@ other entries, the shear scalars and the ordered-force products
 (s_i - s_j)(lambda_i - lambda_j) come from ``iso`` differences, where it
 cancels exactly.  The tension-extension margin min_i G_ii / lambda_i
 includes it.  Incompressible models have only the (dev, dev) block.  The
-rank-one minimum comes from the stretch derivatives of the energy
-(``_rank_one_candidates``).  ``TangentMatrix6.matrix``, the block in lab
-``basis6`` (incompressible: ``dev_basis5``) coordinates, is assembled only
-for that attribute.  A condition holds when its margin exceeds -1e-9; a
-violation is witnessed only below -1e-7.
+rank-one minimum (``_rank_one_candidates``) reads the same split and shear
+scalars, with the volumetric term kept apart as a rank-one part of each
+copositivity matrix.  ``TangentMatrix6.matrix``, the block in lab ``basis6``
+(incompressible: ``dev_basis5``) coordinates, is assembled only for that
+attribute.  A condition holds when its margin exceeds -1e-9; a violation is
+witnessed only below -1e-7.
 """
 
 import io
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
-from .materials import MaterialModel, StretchState, energy_and_derivatives
+from .materials import MaterialModel, StretchState
 from .tensor3 import basis6, eig_sym, inner, logm_spd
 
 __all__ = [
@@ -78,13 +79,12 @@ WITNESS_MARGIN = -1e-7
 # to its centred limit when |x_i - x_j| <= _COINCIDENT.  Cancellation costs
 # the divided difference about eps |s| / |x_i - x_j| (2e-10 of the stress
 # scale at the threshold); the centred limit is off by O((x_i - x_j)^2) times
-# the third derivative of s (2e-12 of it at the threshold).  The rank-one
-# shear modulus A_ijij switches the same way (``_rank_one_candidates``).
+# the third derivative of s (2e-12 of it at the threshold).  The rank-one shear
+# moduli A_ijij are read off these entries (``_rank_one_candidates``).
 _COINCIDENT = 1e-6
 
 # the shear scalars are ordered like basis6 slots 3, 4, 5: pairs 12, 23, 31
 _SHEAR_PAIRS = ((0, 1), (1, 2), (2, 0))
-_PAIRS = ((0, 1), (0, 2), (1, 2))
 _S2, _S3, _S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 
 # Sym(3) basis adapted to a principal frame: the (dev, dev, vol) diagonal
@@ -161,6 +161,11 @@ def principal_block(model: MaterialModel, lams) -> PrincipalBlock:
     """The principal-frame tangent and margins at principal stretches
     ``lams`` (..., 3) (module docstring).  Incompressible models are
     evaluated at the unimodular state with the same stretch ratios."""
+    return _principal_block(model, lams)[0]
+
+
+def _principal_block(model, lams):
+    """``principal_block`` and its rank-one candidates (None if incompressible)."""
     lams = np.asarray(lams, dtype=float)
     x = np.log(lams)
     if model.incompressible:
@@ -186,6 +191,7 @@ def principal_block(model: MaterialModel, lams) -> PrincipalBlock:
     if model.incompressible:
         normal = K[..., :2, :2]
         te = lh = np.full(x.shape[:-1], np.nan)
+        candidates = None
     else:
         # the full sym(G) adds -sym(s (x) 1) + (c - v) 11^T / J, the first
         # term to the (dev, vol) column and vol-vol, the second to vol-vol
@@ -196,9 +202,10 @@ def principal_block(model: MaterialModel, lams) -> PrincipalBlock:
         g_diag = inv_J[..., None] * ((np.diagonal(H, axis1=-2, axis2=-1) + c[..., None])
                                      - (tau + v[..., None]))
         te = np.min(g_diag / lams, axis=-1)
-        lh = np.min(_rank_one_candidates(model, lams)[0], axis=-1)
+        candidates = _rank_one_candidates(lams, x, tau, H, c - v, shear)
+        lh = np.min(candidates[0], axis=-1)
     csp = np.minimum(_normal_eigenvalues(normal, 1)[..., 0], np.min(shear, axis=-1))
-    return PrincipalBlock(normal, shear, csp, be, te, lh)
+    return PrincipalBlock(normal, shear, csp, be, te, lh), candidates
 
 
 def _normal_eigenvalues(N, k):
@@ -350,84 +357,85 @@ def be_te_check(model, state: StretchState) -> BeTeResult:
 # --- rank-one (Legendre-Hadamard) minimum ----------------------------------------
 
 # Sign vectors s, up to an overall sign; the products s_i s_j run over the
-# four sign triples (sigma_01, sigma_02, sigma_12) whose product is +1.
+# four sign triples (sigma_01, sigma_12, sigma_20) whose product is +1.
 _SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
-def _simplex_candidates(M):
-    """Points of the unit simplex {v >= 0, sum v = 1} among which v^T M v
-    attains its minimum, for symmetric M of shape (..., 3, 3): the vertices,
-    the stationary point of each edge (clipped to it) and the interior
-    stationary point, proportional to adj(M) 1, when it lies inside.  A
-    minimum that is not isolated extends to the boundary of its face, so
-    these seven points always contain one.  Shape (..., 7, 3)."""
-    # the points do not depend on the scale of M; unit scale keeps adj(M) finite
-    M = M / np.maximum(np.max(np.abs(M), axis=(-2, -1), keepdims=True), np.finfo(float).tiny)
+def _simplex_candidates(M, kappa, u):
+    """Points (..., 7, 3) of the unit simplex {v >= 0, sum v = 1} among which
+    v^T M_s v, M_s = M + kappa u u^T, attains its minimum: the vertices, the
+    stationary point of each edge (clipped to it) and the interior one,
+    proportional to adj(M_s) 1, when it lies inside.  A minimum that is not
+    isolated extends to the boundary of its face, so they always contain one.
+    M_s is never formed, as kappa may exceed M by twenty orders of magnitude:
+    the edge points are ratios of sums of the two parts, and adj(M_s) =
+    adj(M) + kappa [u]x M [u]x^T for 3x3 matrices."""
+    # the points do not depend on the scale of M_s; unit scale keeps adj finite
+    uu = u * u  # its max written out: np.max along a length-3 axis is slower
+    scale = np.maximum(np.max(np.abs(M), axis=(-2, -1), initial=np.finfo(float).tiny),
+                       np.abs(kappa) * np.maximum(np.maximum(uu[..., 0], uu[..., 1]), uu[..., 2]))
+    M, kappa = M / scale[..., None, None], kappa / scale
     eye = np.eye(3)
-    points = [np.broadcast_to(eye[i], M.shape[:-1]) for i in range(3)]
-    for i, j in _PAIRS:
-        curv = M[..., i, i] - 2.0 * M[..., i, j] + M[..., j, j]
+    points = [np.broadcast_to(eye[i], u.shape) for i in range(3)]
+    for i, j in _SHEAR_PAIRS:
+        du = u[..., i] - u[..., j]
+        curv = M[..., i, i] - 2.0 * M[..., i, j] + M[..., j, j] + kappa * du * du
         convex = curv > 0.0
-        t = np.where(convex, (M[..., i, i] - M[..., i, j]) / np.where(convex, curv, 1.0), 0.0)
-        p = np.zeros(M.shape[:-1])
-        p[..., j] = np.clip(t, 0.0, 1.0)
+        t = (M[..., i, i] - M[..., i, j] + kappa * u[..., i] * du) / np.where(convex, curv, 1.0)
+        p = np.zeros(u.shape)
+        p[..., j] = np.clip(np.where(convex, t, 0.0), 0.0, 1.0)
         p[..., i] = 1.0 - p[..., j]
         points.append(p)
     r0, r1, r2 = M[..., 0, :], M[..., 1, :], M[..., 2, :]
     w = np.cross(r1, r2) + np.cross(r2, r0) + np.cross(r0, r1)  # adj(M) 1
+    m = np.einsum("...ij,...j->...i", M, np.cross(np.ones(3), u))  # M [u]x^T 1
+    w = w + kappa[..., None] * np.cross(u, m)
     total = np.sum(w, axis=-1, keepdims=True)
     inside = np.all(w * total > 0.0, axis=-1, keepdims=True)
     points.append(np.where(inside, w / np.where(inside, total, 1.0), eye[0]))
     return np.stack(points, axis=-2)
 
 
-def _rank_one_candidates(model, lams):
+def _rank_one_candidates(lams, x, tau, H, kappa, shear):
     """Candidate values of the rank-one form xi(x)eta : A : xi(x)eta,
     A = d2W/dFdF at F = diag(lams), whose least is the exact minimum over
-    unit xi, eta; batched over stretches of shape (..., 3).  Returns the
-    values (..., 31), for each sign vector s the seven simplex candidates v
-    (``_simplex_candidates``) and then the axis pairs ``_PAIRS``, and the
-    simplex points (..., 4, 7, 3).
+    unit xi, eta, from what ``principal_block`` evaluated at stretches lams
+    (..., 3), x = log(lams): tau and H, ghat_grad and ghat_hess less their
+    volumetric terms, kappa = c - v and the shear scalars.  Returns the
+    values (..., 31), seven simplex candidates per sign vector s and the
+    shear moduli of ``_SHEAR_PAIRS``, and the simplex points (..., 4, 7, 3).
 
-    In the principal frame A has the entries A_iijj = W_ij,
-    A_ijij = (lambda_i W_i - lambda_j W_j) / (lambda_i^2 - lambda_j^2) and
-    A_ijji = A_ijij - (W_i + W_j) / (lambda_i + lambda_j), with the centred
-    coincident limit A_ijij = (W_ii + W_jj - 2 W_ij + W_i / lambda_i +
-    W_j / lambda_j) / 4 when |x_i - x_j| <= _COINCIDENT.  With u_i = xi_i
-    eta_i the form is sum_i W_ii u_i^2 + sum_{i != j} c_ij u_i u_j +
-    sum_{i != j} A_ijij xi_i^2 eta_j^2, c_ij = W_ij + A_ijji, and
-    |xi|^2 |eta|^2 = sum_{i, j} xi_i^2 eta_j^2.  Minimizing over xi, eta
-    with u fixed reduces strong ellipticity to copositivity of four 3x3
-    matrices (Simpson & Spector 1983, ARMA 84): the minimum is the least of
-    the A_ijij (attained by xi = e_i, eta = e_j) and, for each sign vector s,
-    of v^T M_s v over the unit simplex, with M_s = W_ii on the diagonal and
-    s_i s_j c_ij + A_ijij off it; a minimizing v gives xi_i = s_i sqrt(v_i),
-    eta_i = sqrt(v_i).
+    With the stretch derivatives W_i = g_i / lambda_i and W_ij = (H_ij -
+    delta_ij g_i) / (lambda_i lambda_j), A has the principal entries
+    A_iijj = W_ij, A_ijij = (g_i - g_j) / (lambda_i^2 - lambda_j^2) =
+    lambda_k shear_ij (x_i - x_j) / (2 sinh(x_i - x_j)), k the third axis,
+    which is as exact as the shear scalar at coincidence, and A_ijji =
+    A_ijij - (W_i + W_j) / (lambda_i + lambda_j).  With u_i = xi_i eta_i the
+    form is sum_i W_ii u_i^2 + sum_{i != j} (c_ij u_i u_j + A_ijij xi_i^2
+    eta_j^2), c_ij = W_ij + A_ijji, and |xi|^2 |eta|^2 = sum_{i, j} xi_i^2
+    eta_j^2.  Minimizing over xi, eta with u fixed reduces strong
+    ellipticity to copositivity of four 3x3 matrices (Simpson & Spector
+    1983, ARMA 84): the minimum is the least of the A_ijij (xi = e_i,
+    eta = e_j) and, for each s, of v^T M_s v over the unit simplex, M_s =
+    W_ii on the diagonal and s_i s_j c_ij + A_ijij off it (xi_i = s_i
+    sqrt(v_i), eta_i = sqrt(v_i)).  The volumetric terms of M_s make up
+    kappa u_s u_s^T, u_s = s / lambda, so v^T M_s v = v^T M_iso,s v +
+    kappa (u_s . v)^2.
     """
-    lams = np.asarray(lams, dtype=float)
-    shape = lams.shape[:-1]
-    x = np.log(lams)
-    _, W1, W2 = energy_and_derivatives(model, lams)
-    shear = np.zeros(shape + (3, 3))  # A_ijij off the diagonal
-    coupling = np.zeros(shape + (3, 3))  # c_ij off the diagonal
-    for i, j in _PAIRS:
-        li, lj = lams[..., i], lams[..., j]
-        near = np.abs(x[..., i] - x[..., j]) <= _COINCIDENT
-        limit = 0.25 * (W2[..., i, i] + W2[..., j, j] - 2.0 * W2[..., i, j]
-                        + W1[..., i] / li + W1[..., j] / lj)
-        quotient = (li * W1[..., i] - lj * W1[..., j]) / np.where(near, 1.0, li * li - lj * lj)
-        a = np.where(near, limit, quotient)
-        shear[..., i, j] = shear[..., j, i] = a
-        coupling[..., i, j] = coupling[..., j, i] = (
-            W2[..., i, j] + a - (W1[..., i] + W1[..., j]) / (li + lj)
-        )
-    diag = np.diagonal(W2, axis1=-2, axis2=-1)[..., None, :] * np.eye(3)
-    signs = _SIGNS[:, :, None] * _SIGNS[:, None, :]
-    M = (diag + shear)[..., None, :, :] + signs * coupling[..., None, :, :]  # (..., 4, 3, 3)
-    v = _simplex_candidates(M)  # (..., 4, 7, 3)
-    values = np.einsum("...ki,...ij,...kj->...k", v, M, v).reshape(shape + (28,))
-    first, second = [0, 0, 1], [1, 2, 2]  # the axis pairs
-    return np.concatenate([values, shear[..., first, second]], axis=-1), v
+    i, j = np.transpose(_SHEAR_PAIRS)
+    li, lj, dx = lams[..., i], lams[..., j], x[..., i] - x[..., j]
+    ratio = np.divide(dx, np.sinh(dx), out=np.ones(dx.shape), where=dx != 0.0)  # dx / sinh(dx)
+    moduli = 0.5 * lams[..., 3 - i - j] * shear * ratio  # A_ijij
+    coupling = H[..., i, j] / (li * lj) + moduli - (tau[..., i] / li + tau[..., j] / lj) / (li + lj)
+    M = np.zeros(lams.shape[:-1] + (4, 3, 3))  # M_iso,s
+    signs = _SIGNS[:, i] * _SIGNS[:, j]
+    M[..., i, j] = M[..., j, i] = moduli[..., None, :] + signs * coupling[..., None, :]
+    M[..., [0, 1, 2], [0, 1, 2]] = ((H[..., [0, 1, 2], [0, 1, 2]] - tau) / lams**2)[..., None, :]
+    u, kappa = _SIGNS / lams[..., None, :], kappa[..., None]  # (..., 4, 3), (..., 1)
+    v = _simplex_candidates(M, kappa, u)  # (..., 4, 7, 3)
+    along = np.einsum("...kj,...j->...k", v, u)
+    values = np.einsum("...ki,...ij,...kj->...k", v, M, v) + kappa[..., None] * along * along
+    return np.concatenate([values.reshape(lams.shape[:-1] + (28,)), moduli], axis=-1), v
 
 
 def lh_ellipticity_probe(model, state) -> ProbeResult:
@@ -436,10 +444,10 @@ def lh_ellipticity_probe(model, state) -> ProbeResult:
     attaining it.  A negative value is a Legendre-Hadamard ellipticity
     witness; a positive one proves strong ellipticity at F.
 
-    ``state`` is a StretchState, its three stretches, or a (3, 3) deformation
-    gradient with det F > 0.  By isotropy the minimum at F = U diag(lambda)
-    V^T is the one at diag(lambda) (``_rank_one_candidates``), with the
-    witness rotated back to U xi, V eta.
+    ``state`` is a StretchState or its three stretches, taken in their order
+    so the value is ``principal_block(...).lh`` to the bit, or a (3, 3) F
+    with det F > 0: by isotropy the minimum at F = U diag(lambda) V^T is the
+    one at diag(lambda), with the witness rotated back to U xi, V eta.
     """
     if model.incompressible:
         raise UsageError(
@@ -448,17 +456,18 @@ def lh_ellipticity_probe(model, state) -> ProbeResult:
         )
     F = state.as_array() if isinstance(state, StretchState) else np.asarray(state, dtype=float)
     if F.shape == (3,):
-        F = np.diag(F)
-    if not np.linalg.det(F) > 0.0:
+        U, lams, Vt = np.eye(3), StretchState(*F).as_array(), np.eye(3)
+    elif np.linalg.det(F) > 0.0:
+        U, lams, Vt = np.linalg.svd(F)
+    else:
         raise DomainError("deformation gradient must have positive determinant")
-    U, lams, Vt = np.linalg.svd(F)
-    values, v = _rank_one_candidates(model, lams)
+    values, v = _principal_block(model, lams)[1]
     k = int(np.argmin(values))
     if k < 28:  # a simplex point v of the sign vector s: xi = s sqrt(v), eta = sqrt(v)
         eta = np.sqrt(v.reshape(28, 3)[k])
         xi = _SIGNS[k // 7] * eta
     else:  # an axis pair xi = e_i, eta = e_j
-        xi, eta = np.eye(3)[list(_PAIRS[k - 28])]
+        xi, eta = np.eye(3)[list(_SHEAR_PAIRS[k - 28])]
     return ProbeResult(value=float(values[k]), xi=U @ xi, eta=Vt.T @ eta)
 
 

@@ -40,6 +40,17 @@ def kirchhoff_extra_from_B(model, B):
     return np.einsum("...ik,...k,...jk->...ij", Q, t, Q)
 
 
+def stretch_derivatives(model, lams):
+    """First and second derivatives W_i, W_ij of the energy with respect to
+    the principal stretches lams, from the log-space gradient g and Hessian H
+    of ghat: W_i = g_i / lambda_i, W_ij = (H_ij - delta_ij g_i) /
+    (lambda_i lambda_j)."""
+    lams = np.asarray(lams, dtype=float)
+    x = np.log(lams)
+    g = model.ghat_grad(x)
+    return g / lams, (model.ghat_hess(x) - np.diag(g)) / np.outer(lams, lams)
+
+
 def principal_axis_tensor(W1, W2, lam):
     """Ogden's principal-axis elasticity tensor A_{i a j b} = d2W / dF_ia dF_jb
     at F = diag(lam), as a (3, 3, 3, 3) array, from the stretch derivatives

@@ -109,7 +109,8 @@ def test_large_stretch_has_no_false_csp_verdict(capsys):
     # the volumetric entry of the tangent (~1e28 at 15.25^3) once drowned the
     # deviatoric eigenvalues: tangent_min_eig -3.46e11 and a csp violation,
     # and 8 roundoff csp witnesses on the 0.5:30:3 scan; 60-digit mpmath
-    # gives +2648248.60786
+    # gives +2648248.60786.  The same term drowned the rank-one minimum:
+    # lh_min_probe -2^39 and 5 roundoff lh witnesses; mpmath gives +2.019e7
     code, out, _ = run_cli(
         capsys, "check", *EXPH, "--protocol", "hydrostatic", "--at", "15.25", "--expect-stable",
     )
@@ -117,9 +118,11 @@ def test_large_stretch_has_no_false_csp_verdict(capsys):
     payload = json.loads(out)
     assert payload["stability"]["tangent_min_eig"] == pytest.approx(2648248.60786, rel=1e-8)
     assert payload["violations"] == []
+    assert payload["stability"]["lh_min_probe"] == pytest.approx(20192895.6349436, rel=1e-8)
     code, out, _ = run_cli(capsys, "scan", *EXPH, "--grid", "0.5:30:3")
     assert code == 0
     assert json.loads(out)["counts"]["violations"]["csp"] == 0
+    assert json.loads(out)["counts"]["violations"]["lh"] == 0
 
 
 COMPRESSIBLE_ARGS = {
@@ -403,6 +406,36 @@ def test_benign_state_with_overflowing_closure_scan(capsys, command, stiffening)
         assert payload["stress_driving"] == pytest.approx(row.stress_driving[-1], rel=1e-12)
         assert payload["energy"] == pytest.approx(row.energy[-1], rel=1e-12)
         assert payload["violations"] == []
+
+
+NONFINITE_CASES = {
+    # 26 of the 27 states overflow exp(k |x|^2); the scan listed no violation,
+    # exited 0 and leaked RuntimeWarnings
+    "scan": (("scan", *EXPH, "--grid", "0.5:1e12:3", "--expect-stable"),
+             "26 of 27 states", "[0.5, 0.5, 500000000000.25]"),
+    # mu lambda1^2 overflows at representable stretches; the sweep wrote inf
+    # rows and exited 0
+    "sweep": (("sweep", "--model", "neo_hooke_incompressible", "--mu", "1",
+               "--protocol", "uniaxial", "--grid", "0.5:1e200:3"),
+              "2 of 4 states", "'uniaxial'"),
+}
+
+
+@pytest.mark.parametrize("command", list(NONFINITE_CASES))
+def test_nonfinite_states_fail_after_output(capsys, command):
+    argv, count, where = NONFINITE_CASES[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("corostab: error:") and err.count("\n") == 1
+    assert count in err and where in err
+    if command == "scan":
+        assert json.loads(out)["counts"]["states"] == 27
+    else:
+        assert out.splitlines()[3:] == ["5e+199,1.414213562373095e-100,inf,inf,inf,inf,inf",
+                                        "1e+200,1e-100,inf,inf,inf,inf,inf"]
+        assert "lambda1 = 5e+199" in err
 
 
 SHARED_PARSER_ARGV = [

@@ -25,7 +25,11 @@ old and new values are both within 3.4e-16 of 60-digit references) and
 parts per pass instead of halving it moved ``tangent_min_eig`` of the
 quadratic_hencky ``check`` file and six csp margins of its scan by one or
 two ulps; old and new values are all within 6.4e-16 (check) and 5.3e-15
-(scan) of 60-digit references.
+(scan) of 60-digit references.  When the rank-one minimum moved onto the
+block's split derivatives and shear scalars, ``lh_min_probe`` in the three
+compressible ``check`` files and 55 ``lh`` margins of
+``quadratic_hencky-scan.json`` moved by a few ulps; old and new values are
+all within 3.9e-15 of the 60-digit Simpson-Spector minimum.
 """
 
 from pathlib import Path

@@ -2,10 +2,12 @@
 
 Every name a module exports through ``__all__`` must be bound at its top
 level, and every name a module imports must be used in it (or re-exported
-through ``__all__``).  Deleting a function leaves both kinds of stale name
-behind, and no linter ships with the package.  The package imports only the
-standard library and the dependencies ``pyproject.toml`` declares; scipy,
-mpmath, sympy and hypothesis are for the tests alone.
+through ``__all__``).  Every private top-level function, class or constant
+must be read somewhere in the package.  Deleting a function leaves all three
+kinds of stale name behind, and no linter ships with the package.  The
+package imports only the standard library and the dependencies
+``pyproject.toml`` declares; scipy, mpmath, sympy and hypothesis are for the
+tests alone.
 """
 
 import ast
@@ -80,6 +82,37 @@ def test_no_unused_imports(path):
     }
     unused = sorted(imported - used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_no_stranded_private_names():
+    # a private name may be read in its own module or imported by another
+    trees = {path.name: _tree(path) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    stranded = sorted(
+        f"{name}: {n}" for name, tree in trees.items() for n in _private_definitions(tree)
+        if n not in read
+    )
+    assert not stranded, f"private names defined but never read: {stranded}"
 
 
 def _declared_dependencies():

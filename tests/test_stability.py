@@ -30,6 +30,7 @@ from oracles import (
     rank_one_form,
     sqrtm_spd,
     strongly_elliptic_above,
+    stretch_derivatives,
 )
 
 
@@ -132,36 +133,42 @@ def test_quadratic_hencky_violation_exists(catalog):
     assert tan.min_eigenvalue < -1e-2
 
 
-# Smallest eigenvalue of the exp_hencky (mu 1, lambda 2, k 1, khat 1) tangent
-# and its ordered-force margin from 60-digit mpmath (the full sym(G) and the
-# shear quotients, eigenvalues by mpmath.eigsy), with a scan grid holding each
-# state.  Up to (30, 30, 30) the vol-vol entry of the normal block reaches
-# ~1e45 against ~1e15 for the deviatoric entries.
+# Smallest eigenvalue of the exp_hencky (mu 1, lambda 2, k 1, khat 1) tangent,
+# its ordered-force margin and its rank-one minimum from 60-digit mpmath (the
+# full sym(G) and the shear quotients, eigenvalues by mpmath.eigsy; the
+# Simpson-Spector candidates of the principal-axis moduli, with the stretch
+# derivatives of W by mpmath.diff), with a scan grid holding each state.  Up
+# to (30, 30, 30) the vol-vol entry of the normal block reaches ~1e45 against
+# ~1e15 for the deviatoric entries.
 _LARGE_STRETCH_EXACT = {
-    (15.25, 15.25, 15.25): (2648248.60786, 0.0, (15.25, 15.25, 1)),
-    (10.0, 10.0, 10.0): (16172.8021875, 0.0, (10.0, 10.0, 1)),
-    (15.25, 15.25, 30.0): (84952374.611, 847834358.5077, (0.5, 30.0, 3)),
-    (15.25, 30.0, 30.0): (2725161803.4, 27197424674.62, (0.5, 30.0, 3)),
-    (30.0, 30.0, 30.0): (87419649994.5, 0.0, (0.5, 30.0, 3)),
-    (0.5, 30.0, 30.0): (80248599.6329, 9692679817.22, (0.5, 30.0, 3)),
-    (0.5, 0.5, 30.0): (47595.3154389, 8897587.465416, (0.5, 30.0, 3)),
-    (2.0, 1.3, 0.7): (2.16152872905, 0.6518047543821, (0.7, 2.0, 14)),
+    (15.25, 15.25, 15.25): (2648248.60786, 0.0, 20192895.6349436, (15.25, 15.25, 1)),
+    (10.0, 10.0, 10.0): (16172.8021875, 0.0, 80864.0109375992, (10.0, 10.0, 1)),
+    (15.25, 15.25, 30.0): (84952374.611, 847834358.5077, 600854516.88146, (0.5, 30.0, 3)),
+    (15.25, 30.0, 30.0): (2725161803.4, 27197424674.62, 20779358750.8979, (0.5, 30.0, 3)),
+    (30.0, 30.0, 30.0): (87419649994.5, 0.0, 1311294749917.27, (0.5, 30.0, 3)),
+    (0.5, 30.0, 30.0): (80248599.6329, 9692679817.22, 20062149.9082242, (0.5, 30.0, 3)),
+    (0.5, 0.5, 30.0): (47595.3154389, 8897587.465416, 2514.14115938491, (0.5, 30.0, 3)),
+    (2.0, 1.3, 0.7): (2.16152872905, 0.6518047543821, 0.733633056880242, (0.7, 2.0, 14)),
 }
 
 
 @pytest.mark.parametrize("state", list(_LARGE_STRETCH_EXACT))
 def test_margins_exact_at_any_stress_scale(catalog, state):
     # a dense eigensolve of the tangent lost the deviatoric eigenvalues to the
-    # volumetric entry (-3.46e11 at 15.25^3), and differences of full Cauchy
-    # stresses lost the ordered-force products (-0.0 at (15.25, 30, 30))
+    # volumetric entry (-3.46e11 at 15.25^3), differences of full Cauchy
+    # stresses lost the ordered-force products (-0.0 at (15.25, 30, 30)), and
+    # the rank-one form with the volumetric term in every entry of its
+    # copositivity matrices lost the minimum (-2^39 at 15.25^3)
     m = catalog["exp_hencky"]
-    csp, be, grid = _LARGE_STRETCH_EXACT[state]
+    csp, be, lh, grid = _LARGE_STRETCH_EXACT[state]
     assert tsts_tangent(m, diag_V(*state)).min_eigenvalue == pytest.approx(csp, rel=1e-8)
     assert be_te_check(m, StretchState(*state)).be_margin == pytest.approx(be, rel=1e-8)
+    assert lh_ellipticity_probe(m, StretchState(*state)).value == pytest.approx(lh, rel=1e-8)
     rep = region_scan(m, grid=grid, pairs=0)
     (n,) = np.flatnonzero(np.all(rep.states == state, axis=-1))
     assert rep.csp_min_eig[n] == pytest.approx(csp, rel=1e-8)
     assert rep.be_margin[n] == pytest.approx(be, rel=1e-8)
+    assert rep.lh_min[n] == pytest.approx(lh, rel=1e-8)
 
 
 def test_tangent_off_diagonal_state(catalog):
@@ -383,7 +390,7 @@ def test_rank_one_minimum_is_exact(case):
     # (no direction lies below it); rotating F = R1 diag(lams) R2 leaves it
     # unchanged and rotates the witness
     m, lams, R1, R2 = case
-    _, W1, W2 = mat.energy_and_derivatives(m, lams)
+    W1, W2 = stretch_derivatives(m, lams)
     A = principal_axis_tensor(W1, W2, lams)
     scale = np.max(np.abs(A))
     diag = lh_ellipticity_probe(m, lams)
@@ -405,7 +412,7 @@ def test_rank_one_minimum_certified_on_grid(catalog, kind):
     axis = np.exp(np.linspace(-2.0, 2.0, 7))
     states = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
     for lams in states:
-        _, W1, W2 = mat.energy_and_derivatives(m, lams)
+        W1, W2 = stretch_derivatives(m, lams)
         A = principal_axis_tensor(W1, W2, lams)
         scale = np.max(np.abs(A))
         r = lh_ellipticity_probe(m, lams)
@@ -413,9 +420,36 @@ def test_rank_one_minimum_certified_on_grid(catalog, kind):
         assert strongly_elliptic_above(A, r.value - 1e-9 * scale), lams
 
 
+def test_rank_one_shear_modulus_exact_at_coincidence(catalog):
+    # at this state the rank-one minimum is the 12 shear modulus A_1212, with
+    # x_2 - x_1 at the coincidence switch of the block's shear scalar; 60-digit
+    # mpmath gives 518.011270632631.  Taken from the stretch derivatives W_i,
+    # W_ij with its own coincident limit it was off by 1.2e-6 relative
+    lams = np.exp([-1.0, -1.0 + 1e-6, -1.5])
+    value = lh_ellipticity_probe(catalog["exp_hencky"], lams).value
+    assert value == pytest.approx(518.011270632631, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["exp_hencky", "quadratic_hencky", "neo_hooke_vol_iso"])
+def test_probe_is_the_block_minimum(catalog, kind):
+    # stretches are evaluated in their order, never re-sorted by an SVD, so
+    # the probe's value is the block's lh to the bit
+    m = catalog[kind]
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        x = rng.uniform(-1.5, 1.5, size=3)
+        x[rng.integers(3)] = x[rng.integers(3)]  # two coincident stretches, sometimes
+        st = StretchState(*np.exp(x))
+        lh = stab.principal_block(m, st.as_array()).lh
+        assert lh_ellipticity_probe(m, st).value == lh
+        assert lh_ellipticity_probe(m, st.as_array()).value == lh
+
+
 def test_probe_rejects_inverted_deformation(catalog):
     with pytest.raises(DomainError):
         lh_ellipticity_probe(catalog["exp_hencky"], np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(DomainError):  # three stretches must be positive
+        lh_ellipticity_probe(catalog["exp_hencky"], [1.0, -1.0, -1.0])
 
 
 def test_rank_one_stencil_hand_value():
