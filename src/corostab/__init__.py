@@ -4,12 +4,17 @@ protocols, incremental moduli and numerical constitutive-stability checks."""
 from .materials import (
     ElasticConstants,
     MaterialModel,
-    StressState,
     StretchState,
     instantiate_model,
-    principal_stresses,
 )
-from .protocols import CurveTable, Protocol, incremental_moduli, lateral_closure, sweep
+from .protocols import (
+    CurveTable,
+    Protocol,
+    driving_stress,
+    incremental_moduli,
+    lateral_closure,
+    sweep,
+)
 from .stability import (
     be_te_check,
     hill_tangent,
@@ -26,15 +31,14 @@ __all__ = [
     "ElasticConstants",
     "MaterialModel",
     "Protocol",
-    "StressState",
     "StretchState",
     "be_te_check",
+    "driving_stress",
     "hill_tangent",
     "incremental_moduli",
     "instantiate_model",
     "lateral_closure",
     "lh_ellipticity_probe",
-    "principal_stresses",
     "region_scan",
     "sweep",
     "tsts_tangent",

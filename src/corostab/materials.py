@@ -44,12 +44,10 @@ __all__ = [
     "NeoHookeVolIso",
     "QuadraticHencky",
     "QuadraticHenckyIncompressible",
-    "StressState",
     "StretchState",
     "cauchy_from_B",
     "energy_from_F",
     "instantiate_model",
-    "principal_stresses",
 ]
 
 
@@ -111,21 +109,6 @@ class StretchState:
 
     def as_array(self):
         return np.array([self.lam1, self.lam2, self.lam3])
-
-    def log(self):
-        return np.log(self.as_array())
-
-
-@dataclass(frozen=True)
-class StressState:
-    """Principal stresses in the three measures, plus the energy value.
-    ``pressure`` is set only for incompressible models."""
-
-    cauchy: np.ndarray
-    kirchhoff: np.ndarray
-    biot: np.ndarray
-    energy: float
-    pressure: float | None = None
 
 
 class MaterialModel:
@@ -579,39 +562,6 @@ def instantiate_model(kind: str, parameters: Mapping[str, float]) -> MaterialMod
         _reject_extras(kind, params, used | {"k"})
         return ExponentiatedHenckyIncompressible(mu, params["k"])
     raise ConfigurationError(f"unknown model kind '{kind}' (known: {', '.join(MODEL_KINDS)})")
-
-
-def principal_stresses(model, state: StretchState, pressure=None) -> StressState:
-    """All three principal stress measures at a stretch state.
-
-    Compressible models take no pressure; incompressible ones require it and
-    use sigma_i = tau_i = -p + t_i with the model's extra stress t_i.
-    """
-    x = state.log()
-    if model.incompressible:
-        if pressure is None:
-            raise UsageError(f"model '{model.kind}' is incompressible; pressure required")
-        t = model.extra_tau(x)
-        sigma = t - pressure
-        # J = 1: Kirchhoff == Cauchy and T_i = sigma_i / lambda_i
-        return StressState(
-            cauchy=sigma,
-            kirchhoff=sigma.copy(),
-            biot=sigma / state.as_array(),
-            energy=float(model.energy(state.as_array())),
-            pressure=float(pressure),
-        )
-    if pressure is not None:
-        raise UsageError(f"model '{model.kind}' is compressible; pressure must not be given")
-    tau = model.kirchhoff_principal(x)
-    J = state.J
-    return StressState(
-        cauchy=tau / J,
-        kirchhoff=tau,
-        biot=tau / state.as_array(),
-        energy=float(model.energy(state.as_array())),
-        pressure=None,
-    )
 
 
 def _spd_log_stretches(B):

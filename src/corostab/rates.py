@@ -1,4 +1,4 @@
-"""Kinematics of homogeneous motions and objective stress rates.
+"""Kinematics of homogeneous motions and the rate identities of ``rate-verify``.
 
 A MotionSample carries (F, Fdot, Fddot) at one instant; every rate or
 second-derivative identity evaluated here depends on the motion only through
@@ -23,13 +23,11 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, UsageError
 from .materials import MaterialModel, cauchy_from_B, energy_from_F
-from .tensor3 import skew, sym
+from .tensor3 import sym
 
 __all__ = [
     "MotionSample",
-    "SpinChoice",
     "cauchy_of_F",
-    "corotational_rate",
     "csp_rate_form",
     "energy_second_time_derivative",
     "first_piola_fd",
@@ -85,10 +83,6 @@ class MotionSample:
         return sym(self.L)
 
     @property
-    def W_spin(self):
-        return skew(self.L)
-
-    @property
     def is_diagonal(self):
         """True when every motion of the stack is diagonal."""
         def peak(A):
@@ -103,54 +97,6 @@ class MotionSample:
         against the stack shape."""
         s = np.asarray(s, dtype=float)[..., None, None]
         return self.F + s * self.Fdot + 0.5 * s * s * self.Fddot
-
-
-@dataclass(frozen=True)
-class SpinChoice:
-    """Spin tensor selection for a corotational rate."""
-
-    kind: str
-    omega: np.ndarray | None = None
-
-    @classmethod
-    def material(cls):
-        return cls("material")
-
-    @classmethod
-    def zaremba_jaumann(cls):
-        return cls("zaremba_jaumann")
-
-    @classmethod
-    def custom(cls, omega):
-        omega = np.asarray(omega, dtype=float)
-        if np.max(np.abs(omega + omega.T)) > 1e-12 * max(1.0, np.max(np.abs(omega))):
-            raise UsageError("custom spin tensor must be skew-symmetric")
-        return cls("custom", omega)
-
-    def resolve(self, L):
-        if self.kind == "material":
-            return np.zeros((3, 3))
-        if self.kind == "zaremba_jaumann":
-            if L is None:
-                raise UsageError("zaremba_jaumann spin needs the velocity gradient")
-            return skew(L)
-        if self.kind == "custom":
-            return self.omega
-        raise UsageError(f"unknown spin kind '{self.kind}'")
-
-
-def corotational_rate(sigma_dot, sigma, spin: SpinChoice, L, biezeno_hencky=False):
-    """sigma_dot + sigma Omega - Omega sigma for the chosen spin; with the
-    ``biezeno_hencky`` flag the non-corotational term sigma tr(D) is added."""
-    sigma = np.asarray(sigma, dtype=float)
-    sigma_dot = np.asarray(sigma_dot, dtype=float)
-    omega = spin.resolve(L)
-    out = sigma_dot + sigma @ omega - omega @ sigma
-    if biezeno_hencky:
-        if L is None:
-            raise UsageError("the volumetric rate term needs the velocity gradient")
-        out = out + sigma * np.trace(sym(L))
-    return out
 
 
 def cauchy_of_F(model: MaterialModel, F):

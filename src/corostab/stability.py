@@ -8,7 +8,10 @@ Implemented conditions:
 * its restriction to the deviatoric subspace for incompressible models via
   the Kirchhoff extra stress (``hill_tangent``);
 * two-point Hilbert monotonicity in Cauchy or Kirchhoff measure
-  (``two_point_monotonicity``), the latter being Hill's inequality;
+  (``two_point_monotonicity``), the latter being Hill's inequality, from
+  principal values alone: sum_ij P_ij (s1_i - s2_j)(x1_i - x2_j) with
+  P_ij = (q1_i . q2_j)^2 for the principal frames of the two states
+  (``_pair_values``, which the scan's pair checks call with P = I);
 * ordered-force and tension-extension inequalities (``be_te_check``);
 * the exact minimum of the energy's rank-one (Legendre-Hadamard) form over
   unit direction pairs, with a pair attaining it (``lh_ellipticity_probe``);
@@ -54,7 +57,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
 from .materials import MaterialModel, StretchState
-from .tensor3 import basis6, eig_sym, inner, logm_spd
+from .tensor3 import basis6, eig_sym
 
 __all__ = [
     "HOLD_MARGIN",
@@ -143,13 +146,6 @@ class PrincipalBlock:
         return {name: getattr(self, name) < WITNESS_MARGIN for name in ("csp", "be", "te", "lh")}
 
 
-def _principal_reconstruct(principal_fn, Y):
-    """Evaluate a principal-value stress law at log V = Y (stacked ok)."""
-    x, Q = eig_sym(Y)
-    vals = principal_fn(x)
-    return np.einsum("...ik,...k,...jk->...ij", Q, vals, Q)
-
-
 def _normal_components(v):
     """Components of v (..., 3) in the (dev, dev, vol) basis, written out
     so a state gives the same bits in any batch."""
@@ -180,14 +176,15 @@ def _principal_block(model, lams):
         s, G = tau * inv_J[..., None], H * inv_J[..., None, None]
     sym = 0.5 * (G + np.swapaxes(G, -1, -2))
     K = _normal_components(np.swapaxes(_normal_components(sym), -1, -2))  # U sym(G) U^T
-    shear, be = [], np.full(x.shape[:-1], np.inf)
+    shear, be, differs = [], np.full(x.shape[:-1], np.inf), False
     for i, j in _SHEAR_PAIRS:
         ds, dx, dl = s[..., i] - s[..., j], x[..., i] - x[..., j], lams[..., i] - lams[..., j]
         near = np.abs(dx) <= _COINCIDENT
         limit = 0.5 * (G[..., i, i] - G[..., i, j] - G[..., j, i] + G[..., j, j])
         shear.append(np.where(near, limit, ds / np.where(near, 1.0, dx)))
         be = np.where(dl != 0.0, np.minimum(be, ds * dl), be)
-    shear, be = np.stack(shear, axis=-1), np.where(be == np.inf, 0.0, be)  # 0: no pair differs
+        differs = differs | (dl != 0.0)
+    shear, be = np.stack(shear, axis=-1), np.where(differs, be, 0.0)  # 0: no pair differs
     if model.incompressible:
         normal = K[..., :2, :2]
         te = lh = np.full(x.shape[:-1], np.nan)
@@ -293,8 +290,30 @@ def hill_tangent(model: MaterialModel, V) -> TangentMatrix6:
     return _tangent(model, V)
 
 
+def _principal_law(model, measure):
+    """The principal stress law of a two-point value: the extra stress for
+    incompressible models, else the Cauchy or Kirchhoff stress."""
+    if model.incompressible:
+        return model.extra_tau
+    return model.kirchhoff_principal if measure == "kirchhoff" else model.cauchy_principal
+
+
+def _pair_values(s1, x1, s2, x2, P):
+    """Two-point values sum_ij P_ij (s1_i - s2_j)(x1_i - x2_j) of pairs of
+    states given by principal stresses s and log stretches x (..., 3), with
+    P_ij = (q1_i . q2_j)^2 (..., 3, 3) for the principal frames q1, q2 of the
+    two states; P is the identity for coaxial pairs.  This is <S1 - S2, Y1 -
+    Y2> for S = sum_i s_i q_i (x) q_i and Y = log V alike: P is doubly
+    stochastic and <q1_i (x) q1_i, q2_j (x) q2_j> = P_ij."""
+    ds = s1[..., :, None] - s2[..., None, :]
+    dx = x1[..., :, None] - x2[..., None, :]
+    # P first: a zero P_ij keeps its term 0 however large ds_ij dx_ij is
+    return np.sum(P * ds * dx, axis=(-2, -1))
+
+
 def two_point_monotonicity(model, V1, V2, measure="cauchy") -> float:
-    """<stress(V1) - stress(V2), log V1 - log V2> for the chosen measure.
+    """<stress(V1) - stress(V2), log V1 - log V2> for the chosen measure,
+    from the principal values and frames of V1 and V2 (``_pair_values``).
 
     The caller interprets the sign; positivity for all pairs is the two-point
     monotonicity condition (Cauchy measure) or Hill's inequality (Kirchhoff).
@@ -304,27 +323,20 @@ def two_point_monotonicity(model, V1, V2, measure="cauchy") -> float:
     """
     if measure not in ("cauchy", "kirchhoff"):
         raise UsageError(f"unknown stress measure '{measure}'")
-    Y1, Y2 = logm_spd(V1), logm_spd(V2)
+    (d1, Q1), (d2, Q2) = eig_sym(V1), eig_sym(V2)
+    if min(d1[-1], d2[-1]) <= 0.0:
+        raise DomainError("log requires a positive-definite tensor")
+    x1, x2 = np.log(d1), np.log(d2)
     if model.incompressible:
         if measure != "kirchhoff":
             raise UsageError(
                 f"model '{model.kind}' is incompressible; only the kirchhoff "
                 "measure is defined (up to pressure)"
             )
-        for Y in (Y1, Y2):
-            if abs(np.trace(Y)) > 1e-8:
-                raise DomainError("incompressible monotonicity needs det V = 1 states")
-        S1 = _principal_reconstruct(model.extra_tau, Y1)
-        S2 = _principal_reconstruct(model.extra_tau, Y2)
-        return float(inner(S1 - S2, Y1 - Y2))
-
-    def stress(Y):
-        sig = _principal_reconstruct(model.cauchy_principal, Y)
-        if measure == "kirchhoff":
-            return math.exp(np.trace(Y)) * sig
-        return sig
-
-    return float(inner(stress(Y1) - stress(Y2), Y1 - Y2))
+        if max(abs(np.sum(x1)), abs(np.sum(x2))) > 1e-8:
+            raise DomainError("incompressible monotonicity needs det V = 1 states")
+    law = _principal_law(model, measure)
+    return float(_pair_values(law(x1), x1, law(x2), x2, (Q1.T @ Q2) ** 2))
 
 
 @dataclass(frozen=True)
@@ -561,8 +573,10 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
     margins and, for compressible models, the exact rank-one minimum of
     ``lh_ellipticity_probe`` (NaN for incompressible ones).  Pairwise:
     ``pairs`` seeded random state pairs checked for two-point monotonicity in
-    the Cauchy measure and, on det-normalized states, the Kirchhoff measure.
-    Deterministic for a fixed grid and seed.
+    the Cauchy measure and, on det-normalized states, the Kirchhoff measure;
+    a pair whose value is not finite sets that column to 0 for both of its
+    states and is not listed as a violation.  Deterministic for a fixed grid
+    and seed.
     """
     lo, hi, n = grid
     if not (math.isfinite(lo) and math.isfinite(hi) and min(lo, hi) > 0.0):
@@ -587,20 +601,16 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
         if a != b:
             pair_idx[k] = (a, b)
             k += 1
+    # grid states are coaxial: P = I
+    first, second = pair_idx.T
     xu = x - np.mean(x, axis=-1, keepdims=True)
-    tau_u = model.extra_tau(xu) if incomp else model.ghat_grad(xu)
-    hill_vals = np.sum(
-        (tau_u[pair_idx[:, 0]] - tau_u[pair_idx[:, 1]]) * (xu[pair_idx[:, 0]] - xu[pair_idx[:, 1]]),
-        axis=-1,
-    )
+    tau_u = _principal_law(model, "kirchhoff")(xu)
+    hill_vals = _pair_values(tau_u[first], xu[first], tau_u[second], xu[second], np.eye(3))
     if incomp:
-        tsts_vals = hill_vals.copy()
+        tsts_vals = hill_vals
     else:
-        sig = model.cauchy_principal(x)
-        tsts_vals = np.sum(
-            (sig[pair_idx[:, 0]] - sig[pair_idx[:, 1]]) * (x[pair_idx[:, 0]] - x[pair_idx[:, 1]]),
-            axis=-1,
-        )
+        sig = _principal_law(model, "cauchy")(x)
+        tsts_vals = _pair_values(sig[first], x[first], sig[second], x[second], np.eye(3))
 
     tsts_ok = np.ones(n_states, dtype=bool)
     hill_ok = np.ones(n_states, dtype=bool)
@@ -615,8 +625,10 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
     for k in range(n_pairs):
         a, b = pair_idx[k]
         for check, vals, ok in (("tsts_m_plus", tsts_vals, tsts_ok), ("hill", hill_vals, hill_ok)):
-            if vals[k] < WITNESS_MARGIN:
+            witness = vals[k] < WITNESS_MARGIN
+            if witness or not np.isfinite(vals[k]):  # a non-finite value is no witness
                 ok[a] = ok[b] = False
+            if witness:
                 violations.append(
                     {
                         "check": check,

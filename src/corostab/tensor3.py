@@ -1,31 +1,26 @@
-"""Symmetric 3x3 tensor algebra: the spectral functions, inner product and
-six-component view that the stability and rate layers use.
+"""Symmetric 3x3 tensor algebra: the symmetric part, the spectral
+decomposition and the orthonormal basis of Sym(3) that the material,
+stability and rate layers use.
 
 Symmetric tensors are carried as plain numpy arrays of shape (3, 3); the six
-independent entries are ordered (11, 22, 33, 12, 23, 31) wherever a component
-view is needed (``vec6``, ``basis6``).  Spectral routines accept stacked input
-of shape (..., 3, 3).
+basis elements are ordered (11, 22, 33, 12, 23, 31) (``basis6``).  Spectral
+routines accept stacked input of shape (..., 3, 3).
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import InvalidInputError
 
 __all__ = [
     "EigenSystem3",
     "basis6",
     "eig_sym",
-    "inner",
-    "logm_spd",
-    "norm",
     "sym",
-    "skew",
-    "vec6",
 ]
 
-# Component order shared by vec6 and basis6.
+# Component order of basis6.
 _IDX = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))
 
 _SQRT2 = np.sqrt(2.0)
@@ -42,11 +37,6 @@ class EigenSystem3(NamedTuple):
 def sym(A):
     A = np.asarray(A, dtype=float)
     return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
-def skew(A):
-    A = np.asarray(A, dtype=float)
-    return 0.5 * (A - np.swapaxes(A, -1, -2))
 
 
 def _require_finite(A):
@@ -69,24 +59,6 @@ def eig_sym(A) -> EigenSystem3:
     return EigenSystem3(d[..., ::-1], Q[..., ::-1])
 
 
-def logm_spd(A):
-    """Matrix logarithm of a symmetric positive-definite tensor."""
-    d, Q = eig_sym(A)
-    if np.any(d[..., -1] <= 0.0):
-        raise DomainError("log requires a positive-definite tensor")
-    return np.einsum("...ik,...k,...jk->...ij", Q, np.log(d), Q)
-
-
-def vec6(A) -> np.ndarray:
-    """Six-component view of a symmetric tensor, with sqrt(2) on the
-    off-diagonal slots so the map is an isometry:
-    <A, B>_F == <vec6(A), vec6(B)>."""
-    A = np.asarray(A, dtype=float)
-    return np.stack(
-        [A[..., i, j] if i == j else _SQRT2 * A[..., i, j] for (i, j) in _IDX], axis=-1
-    )
-
-
 def basis6() -> tuple:
     """Orthonormal basis of Sym(3): three diagonal units and three
     sqrt(2)-normalized off-diagonal units, ordered (11, 22, 33, 12, 23, 31)."""
@@ -99,13 +71,3 @@ def basis6() -> tuple:
             E[i, j] = E[j, i] = 1.0 / _SQRT2
         out.append(E)
     return tuple(out)
-
-
-def inner(A, B) -> float:
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return np.sum(A * B, axis=(-2, -1))
-
-
-def norm(A) -> float:
-    return np.sqrt(inner(A, A))

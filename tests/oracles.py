@@ -2,11 +2,15 @@
 
 They share no code with the package except the model kernels they are
 handed (and the MotionSample container that `motion_from_stretch_path`
-fills), so the package can be checked against them.
+fills, and the error class `logm_spd` raises), so the package can be checked
+against them.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
+from corostab.errors import DomainError
 from corostab.rates import MotionSample
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -23,6 +27,62 @@ def sqrtm_spd(A):
     d, Q = np.linalg.eigh(A)
     assert np.all(d > 0.0)
     return np.einsum("...ik,...k,...jk->...ij", Q, np.sqrt(d), Q)
+
+
+def inner(A, B):
+    """Frobenius inner product over the last two axes."""
+    return np.sum(np.asarray(A, dtype=float) * np.asarray(B, dtype=float), axis=(-2, -1))
+
+
+def norm(A):
+    return np.sqrt(inner(A, A))
+
+
+def logm_spd(A):
+    """Matrix logarithm of a symmetric positive-definite tensor (stacked ok)."""
+    d, Q = np.linalg.eigh(A)
+    if np.any(d <= 0.0):
+        raise DomainError("log requires a positive-definite tensor")
+    return np.einsum("...ik,...k,...jk->...ij", Q, np.log(d), Q)
+
+
+def vec6(A):
+    """Components (11, 22, 33, 12, 23, 31) of a symmetric tensor, sqrt(2) on
+    the off-diagonal ones so that <A, B> = vec6(A) . vec6(B)."""
+    A = np.asarray(A, dtype=float)
+    s = np.sqrt(2.0)
+    return np.stack([A[..., 0, 0], A[..., 1, 1], A[..., 2, 2],
+                     s * A[..., 0, 1], s * A[..., 1, 2], s * A[..., 2, 0]], axis=-1)
+
+
+def lab_frame_two_point(law, V1, V2):
+    """<S(V1) - S(V2), log V1 - log V2> with S(V) = Q diag(law(log d)) Q^T and
+    log V built as tensors in the lab frame, for V = Q diag(d) Q^T."""
+    def stress(V):
+        d, Q = np.linalg.eigh(V)
+        return np.einsum("ik,k,jk->ij", Q, law(np.log(d)), Q)
+
+    return float(inner(stress(V1) - stress(V2), logm_spd(V1) - logm_spd(V2)))
+
+
+class StressState(NamedTuple):
+    cauchy: np.ndarray
+    kirchhoff: np.ndarray
+    biot: np.ndarray
+    energy: float
+
+
+def principal_stresses(model, state, pressure=None):
+    """Principal Cauchy, Kirchhoff and Biot stresses and the energy at a
+    StretchState: tau = ghat_grad for compressible models, tau = -pressure
+    plus the extra stress at J = 1 for incompressible ones."""
+    lams = state.as_array()
+    x = np.log(lams)
+    if model.incompressible:
+        tau, J = model.extra_tau(x) - pressure, 1.0
+    else:
+        tau, J = model.kirchhoff_principal(x), state.J
+    return StressState(tau / J, tau, tau / lams, float(model.energy(lams)))
 
 
 def motion_from_stretch_path(paths, t):

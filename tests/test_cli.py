@@ -422,7 +422,7 @@ NONFINITE_CASES = {
 
 
 @pytest.mark.parametrize("command", list(NONFINITE_CASES))
-def test_nonfinite_states_fail_after_output(capsys, command):
+def test_nonfinite_states_fail_after_output(capsys, tmp_path, command):
     argv, count, where = NONFINITE_CASES[command]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -431,7 +431,22 @@ def test_nonfinite_states_fail_after_output(capsys, command):
     assert err.startswith("corostab: error:") and err.count("\n") == 1
     assert count in err and where in err
     if command == "scan":
-        assert json.loads(out)["counts"]["states"] == 27
+        payload = json.loads(out)
+        assert payload["counts"]["states"] == 27 and payload["violations"] == []
+        # every pair meets an overflowed Cauchy stress, so every state reads
+        # tsts_m_plus_ok 0 (was 1); the det-normalized Hill values are finite.
+        # be is +inf where the stretches differ and every product overflows
+        # (was 0.0), and 0.0 only where no two stretches differ
+        out_csv = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, *argv, "--out", str(out_csv))[0] == 1
+        rows = out_csv.read_text().splitlines()[1:]
+        assert {row[-3:] for row in rows} == {"0,1"}
+        assert rows[1] == "0,0,1,0.5,0.5,500000000000.25,nan,inf,nan,nan,0,1"
+        assert rows[13] == (
+            "1,1,1,500000000000.25,500000000000.25,500000000000.25,nan,0.0,nan,nan,0,1"
+        )
     else:
         assert out.splitlines()[3:] == ["5e+199,1.414213562373095e-100,inf,inf,inf,inf,inf",
                                         "1e+200,1e-100,inf,inf,inf,inf,inf"]

@@ -3,8 +3,10 @@
 Every name a module exports through ``__all__`` must be bound at its top
 level, and every name a module imports must be used in it (or re-exported
 through ``__all__``).  Every private top-level function, class or constant
-must be read somewhere in the package.  Deleting a function leaves all three
-kinds of stale name behind, and no linter ships with the package.  The
+must be read somewhere in the package, and so must every name a submodule
+exports, unless ``corostab/__init__.py`` re-exports it.  Deleting a function
+leaves all four kinds of stale name behind, and no linter ships with the
+package.  The
 package imports only the standard library and the dependencies
 ``pyproject.toml`` declares; scipy, mpmath, sympy and hypothesis are for the
 tests alone.
@@ -113,6 +115,46 @@ def test_no_stranded_private_names():
         if n not in read
     )
     assert not stranded, f"private names defined but never read: {stranded}"
+
+
+def _package_module(node):
+    """The corostab submodule a from-import reads from, "" for the package
+    itself, None outside the package."""
+    if node.level == 1:
+        return node.module or ""
+    if node.module == "corostab" or (node.module or "").startswith("corostab."):
+        return node.module.partition(".")[2]
+    return None
+
+
+def test_no_unread_public_names():
+    # a submodule's export is read as a bare name in its own module, through
+    # a from-import (__init__.py's re-exports among them) or as an attribute
+    # of its module (``stab.region_scan`` after ``from . import stability as
+    # stab``); ``np.linalg.norm`` reads no ``norm`` of the package
+    trees = {path.stem: _tree(path) for path in SOURCES}
+    read = set()
+    for mod, tree in trees.items():
+        modules = {}  # local name -> the submodule it binds
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and _package_module(n) is not None:
+                source = _package_module(n)
+                for alias in n.names:
+                    if source:
+                        read.add((source, alias.name))
+                    else:
+                        modules[alias.asname or alias.name] = alias.name
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add((mod, n.id))
+            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in modules):
+                read.add((modules[n.value.id], n.attr))
+    unread = sorted(
+        f"{mod}.{name}" for mod, tree in trees.items() if mod != "__init__"
+        for name in _exports(tree) if (mod, name) not in read
+    )
+    assert not unread, f"exported names no package module reads: {unread}"
 
 
 def _declared_dependencies():

@@ -6,8 +6,6 @@ from corostab.errors import DomainError, InvalidInputError, UsageError
 from corostab.protocols import Protocol, lateral_closure
 from corostab.rates import (
     MotionSample,
-    SpinChoice,
-    corotational_rate,
     csp_rate_form,
     energy_second_time_derivative,
     first_piola_fd,
@@ -77,7 +75,7 @@ def test_exponential_path_constant_L():
     for t in (0.0, 0.4, 1.1):
         m = motion_from_stretch_path([exp_path(1.0), const_path(1.0), const_path(1.0)], t)
         np.testing.assert_allclose(m.L, np.diag([1.0, 0.0, 0.0]), atol=1e-14)
-        np.testing.assert_array_equal(m.W_spin, np.zeros((3, 3)))
+        np.testing.assert_array_equal(0.5 * (m.L - m.L.T), np.zeros((3, 3)))  # no spin
 
 
 def test_incompressible_uniaxial_path_unimodular():
@@ -144,54 +142,6 @@ def test_stacked_motion_validation():
         MotionSample(F=F, Fdot=F[:3], Fddot=F)
     with pytest.raises(InvalidInputError):
         MotionSample(F=F[..., :2], Fdot=F[..., :2], Fddot=F[..., :2])
-
-
-# --- corotational rates ------------------------------------------------------------
-
-def test_zaremba_jaumann_reduces_to_material_for_diagonal():
-    rng = np.random.default_rng(50)
-    for _ in range(20):
-        m = random_diagonal_motion(rng)
-        sigma = np.diag(rng.standard_normal(3))
-        sigma_dot = np.diag(rng.standard_normal(3))
-        zj = corotational_rate(sigma_dot, sigma, SpinChoice.zaremba_jaumann(), m.L)
-        matl = corotational_rate(sigma_dot, sigma, SpinChoice.material(), m.L)
-        assert np.max(np.abs(zj - matl)) == 0.0  # spin is exactly zero
-
-
-def test_identity_stress_commutes():
-    omega = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5], [2.0, -0.5, 0.0]])
-    out = corotational_rate(np.zeros((3, 3)), np.eye(3), SpinChoice.custom(omega), None)
-    np.testing.assert_array_equal(out, np.zeros((3, 3)))
-
-
-def test_spin_term_is_power_neutral():
-    from corostab.tensor3 import inner, skew, sym
-
-    rng = np.random.default_rng(51)
-    for _ in range(50):
-        sigma = sym(rng.standard_normal((3, 3)))
-        omega = skew(rng.standard_normal((3, 3)))
-        term = sigma @ omega - omega @ sigma
-        assert abs(inner(term, sigma)) <= 1e-12 * max(1.0, inner(sigma, sigma))
-        # and the term is symmetric
-        np.testing.assert_allclose(term, term.T, atol=1e-14)
-
-
-def test_custom_spin_must_be_skew():
-    with pytest.raises(UsageError):
-        SpinChoice.custom(np.eye(3))
-
-
-def test_biezeno_hencky_adds_volumetric_term():
-    rng = np.random.default_rng(52)
-    m = random_diagonal_motion(rng)
-    sigma = np.diag([1.0, 2.0, 3.0])
-    base = corotational_rate(np.zeros((3, 3)), sigma, SpinChoice.zaremba_jaumann(), m.L)
-    ext = corotational_rate(
-        np.zeros((3, 3)), sigma, SpinChoice.zaremba_jaumann(), m.L, biezeno_hencky=True
-    )
-    np.testing.assert_allclose(ext - base, sigma * np.trace(m.D), atol=1e-14)
 
 
 # --- principal rate form -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,17 +21,23 @@ from corostab.stability import (
     two_point_monotonicity,
 )
 
-from conftest import random_rotation, random_spd
+from conftest import CATALOG_PARAMS, random_rotation, random_spd
 from oracles import (
     dense_rank_one_search,
     expm_sym,
+    inner,
     kirchhoff_extra_from_B,
+    lab_frame_two_point,
+    logm_spd,
+    norm,
     principal_axis_tensor,
+    principal_stresses,
     quadratic_hencky_rank_one_form,
     rank_one_form,
     sqrtm_spd,
     strongly_elliptic_above,
     stretch_derivatives,
+    vec6,
 )
 
 
@@ -47,7 +54,7 @@ def test_small_strain_eigenvalues_compressible(compressible_models):
         expected = np.sort([3.0 * lam + 2.0 * mu] + [2.0 * mu] * 5)
         np.testing.assert_allclose(tan.eigenvalues, expected, atol=1e-4)
         # matrix symmetric by construction
-        np.testing.assert_allclose(tan.matrix, tan.matrix.T, atol=1e-9 * max(1, t3.norm(tan.matrix)))
+        np.testing.assert_allclose(tan.matrix, tan.matrix.T, atol=1e-9 * max(1, norm(tan.matrix)))
 
 
 def test_small_strain_eigenvalues_incompressible(incompressible_models):
@@ -95,18 +102,18 @@ def test_quadratic_form_equivalence(catalog):
             else:
                 tan = tsts_tangent(m, V)
                 stress_of_B = mat.cauchy_from_B
-            H /= t3.norm(H)
-            Y = t3.logm_spd(V)
+            H /= norm(H)
+            Y = logm_spd(V)
             h = 1e-7
 
             def stress_at(s):
                 return stress_of_B(m, expm_sym(2.0 * (Y + s * H)))
 
-            direct = t3.inner((stress_at(h) - stress_at(-h)) / (2 * h), H)
+            direct = inner((stress_at(h) - stress_at(-h)) / (2 * h), H)
             if m.incompressible:
-                v = np.array([t3.inner(H, E) for E in stab.dev_basis5()])
+                v = np.array([inner(H, E) for E in stab.dev_basis5()])
             else:
-                v = t3.vec6(H)
+                v = vec6(H)
             quad = float(v @ tan.matrix @ v)
             assert direct == pytest.approx(quad, rel=1e-5, abs=1e-6), m.kind
 
@@ -193,7 +200,7 @@ def test_two_point_worked_pair(catalog):
     # <B1 - B2, log B1 - log B2> = 3 ln 4 for B1 = diag(4,1,1), B2 = I;
     # realized through the incompressible Neo-Hooke Kirchhoff identity
     B1, B2 = np.diag([4.0, 1.0, 1.0]), np.eye(3)
-    val = t3.inner(B1 - B2, t3.logm_spd(B1) - t3.logm_spd(B2))
+    val = inner(B1 - B2, logm_spd(B1) - logm_spd(B2))
     assert val == pytest.approx(3.0 * np.log(4.0), abs=1e-12)
 
 
@@ -208,9 +215,9 @@ def test_neo_hooke_incompressible_hill_identity():
         B2 /= np.linalg.det(B2) ** (1.0 / 3.0)
         V1, V2 = sqrtm_spd(B1), sqrtm_spd(B2)
         val = two_point_monotonicity(m, V1, V2, measure="kirchhoff")
-        expected = 0.5 * m.mu * t3.inner(B1 - B2, t3.logm_spd(B1) - t3.logm_spd(B2))
+        expected = 0.5 * m.mu * inner(B1 - B2, logm_spd(B1) - logm_spd(B2))
         assert val == pytest.approx(expected, rel=1e-10, abs=1e-12)
-        if t3.norm(B1 - B2) > 1e-10:
+        if norm(B1 - B2) > 1e-10:
             assert val > 0.0
 
 
@@ -241,8 +248,98 @@ def test_pointwise_implies_two_point_sampled(catalog):
             delta = min(delta, tsts_tangent(m, expm_sym(Yt)).min_eigenvalue)
         assert delta > 0.0
         val = two_point_monotonicity(m, expm_sym(Y1), expm_sym(Y2))
-        gap = t3.norm(Y1 - Y2) ** 2
+        gap = norm(Y1 - Y2) ** 2
         assert val >= delta * gap * (1.0 - 1e-6) - 1e-12
+
+
+def _non_coaxial_pairs(rng, n, unimodular):
+    """Pairs V1 = exp(Y), V2 = exp(Y + sep H) with random symmetric Y, unit H
+    and separations sep from 1e-8 to 1; trace-free Y and H if unimodular."""
+    for sep in np.geomspace(1e-8, 1.0, n):
+        Y, H = (t3.sym(rng.standard_normal((3, 3))) for _ in range(2))
+        if unimodular:
+            Y, H = (A - np.trace(A) / 3.0 * np.eye(3) for A in (Y, H))
+        yield expm_sym(0.4 * Y), expm_sym(0.4 * Y + sep * H / norm(H))
+
+
+def _pair_roundoff(law, V1, V2):
+    """eps (|s1| + |s2|)(|Y1| + |Y2|), the roundoff scale of a pair value."""
+    (d1, _), (d2, _) = np.linalg.eigh(V1), np.linalg.eigh(V2)
+    x1, x2 = np.log(d1), np.log(d2)
+    size = np.linalg.norm
+    return np.finfo(float).eps * (size(law(x1)) + size(law(x2))) * (size(x1) + size(x2))
+
+
+def _two_point_law(m, measure):
+    if m.incompressible:
+        return m.extra_tau
+    return m.kirchhoff_principal if measure == "kirchhoff" else m.cauchy_principal
+
+
+_MEASURES = [(kind, "kirchhoff") for kind in CATALOG_PARAMS] + [
+    (kind, "cauchy") for kind in ("exp_hencky", "quadratic_hencky", "neo_hooke_vol_iso")
+]
+
+
+@pytest.mark.parametrize("kind, measure", _MEASURES)
+def test_two_point_principal_frame_matches_lab_frame(catalog, kind, measure):
+    # the principal-frame pair value against the stress and log tensors
+    # built in the lab frame, on non-coaxial pairs
+    m = catalog[kind]
+    law = _two_point_law(m, measure)
+    rng = np.random.default_rng(46)
+    for V1, V2 in _non_coaxial_pairs(rng, 40, m.incompressible):
+        val = two_point_monotonicity(m, V1, V2, measure=measure)
+        ref = lab_frame_two_point(law, V1, V2)
+        assert abs(val - ref) <= 32.0 * _pair_roundoff(law, V1, V2), (kind, measure)
+
+
+def _mp_exp_hencky_tau(x):
+    # Kirchhoff stress of exp_hencky at mu 1, lambda 2, k 1, khat 1
+    q, t = sum(xi * xi for xi in x), sum(x)
+    return [2 * xi * mpmath.exp(q) + 2 * t * mpmath.exp(t * t) for xi in x]
+
+
+_MP_LAWS = {
+    ("exp_hencky", "cauchy"): lambda x: [t / mpmath.exp(sum(x)) for t in _mp_exp_hencky_tau(x)],
+    ("exp_hencky", "kirchhoff"): _mp_exp_hencky_tau,
+    ("neo_hooke_incompressible", "kirchhoff"): lambda x: [mpmath.exp(2 * xi) for xi in x],
+}
+
+
+@pytest.mark.parametrize("kind, measure", list(_MP_LAWS))
+def test_two_point_exact_to_roundoff(catalog, kind, measure):
+    # 50-digit values of <S1 - S2, log V1 - log V2> at the float pairs,
+    # eigenvectors by mpmath.eigsy; Cauchy, compressible Kirchhoff and
+    # incompressible extra stress
+    m = catalog[kind]
+    mp_law = _MP_LAWS[(kind, measure)]
+
+    def tensors(V):
+        d, Q = mpmath.eigsy(mpmath.matrix(V.tolist()))
+        x = [mpmath.log(d[i]) for i in range(3)]
+        return Q * mpmath.diag(mp_law(x)) * Q.T, Q * mpmath.diag(x) * Q.T
+
+    rng = np.random.default_rng(47)
+    with mpmath.workdps(50):
+        for V1, V2 in _non_coaxial_pairs(rng, 5, m.incompressible):
+            (S1, Y1), (S2, Y2) = tensors(V1), tensors(V2)
+            exact = mpmath.fsum((S1[i, j] - S2[i, j]) * (Y1[i, j] - Y2[i, j])
+                                for i in range(3) for j in range(3))
+            val = two_point_monotonicity(m, V1, V2, measure=measure)
+            bound = 32.0 * _pair_roundoff(_two_point_law(m, measure), V1, V2)
+            assert abs(val - float(exact)) <= bound, (kind, measure)
+
+
+def test_coaxial_pair_values_are_the_scan_sums(catalog):
+    # with P = I the pair value is the sum the scan's pair checks have always
+    # taken, to the bit
+    rng = np.random.default_rng(48)
+    m = catalog["exp_hencky"]
+    x1, x2 = rng.uniform(-1.0, 1.0, size=(2, 128, 3))
+    s1, s2 = m.cauchy_principal(x1), m.cauchy_principal(x2)
+    vals = stab._pair_values(s1, x1, s2, x2, np.eye(3))
+    np.testing.assert_array_equal(vals, np.sum((s1 - s2) * (x1 - x2), axis=-1))
 
 
 # --- ordered-force / tension-extension ----------------------------------------------
@@ -273,7 +370,7 @@ def test_be_shear_block_consequence(catalog):
         if len(set(np.round(lams, 12))) < 3:
             continue
         assert tsts_tangent(m, diag_V(*lams)).min_eigenvalue > 0
-        sig = mat.principal_stresses(m, StretchState(*lams)).cauchy
+        sig = principal_stresses(m, StretchState(*lams)).cauchy
         x = np.log(lams)
         for i in range(3):
             for j in range(i + 1, 3):
