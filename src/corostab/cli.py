@@ -207,10 +207,9 @@ def _solved_state(model, protocol, lam1):
     representable stretch is a DomainError naming the state.
 
     The commands that call this run with numpy's overflow and invalid-
-    operation warnings silenced: a cold closure's bracketing scan meets
-    non-finite residuals far from its root and skips them, and what counts
-    is the result, checked here and, for every reported number, by
-    ``_json_line``."""
+    operation warnings silenced: a stress, energy or modulus may overflow on
+    the way, and what counts is the result, checked here and, for every
+    reported number, by ``_json_line``."""
     closure = lateral_closure(model, protocol, lam1)
     row = _curve_rows(model, protocol, [lam1], [closure])
     _fail_on_nonfinite(f"protocol '{protocol.kind}': ", "lambda1", row.lambda1, *vars(row).values())

@@ -4,12 +4,14 @@ tension, for compressible and incompressible response.
 A ``Protocol`` names only the kind of test; whether its response is
 compressible or incompressible comes from the model
 (``MaterialModel.incompressible``).  Compressible protocols enforce
-traction-free lateral faces by solving the lateral-stress root problem
-numerically (bracketing scan in log-stretch space, bisection, Newton polish).
+traction-free lateral faces by one root solve, ``_solve_lateral``, for every
+caller: a batched residual scan in log-stretch space over a fixed grid plus a
+window around a reference lateral stretch, bisection and Newton polish of
+every bracketed root, and the root nearest the reference chosen.  The
+reference is 1 for a single state; a sweep marches outward from the
+reference stretch and passes each row's lateral stretch to the next.
 Incompressible protocols have closed kinematics; the pressure is fixed by the
-traction-free direction, and hydrostatic tension is rejected there.  Sweeps
-march outward from the reference stretch so every solve is warm-started by
-continuation.
+traction-free direction, and hydrostatic tension is rejected there.
 
 The driving stress is the principal Cauchy stress sigma_1 for compressible
 protocols and the principal Kirchhoff stress tau_1 (equal to Cauchy at J = 1)
@@ -57,6 +59,25 @@ CSV_HEADER = (
 _Y_LO, _Y_HI = math.log(1e-3), math.log(1e3)
 _X_RANGE = -math.log(sys.float_info.min)  # |log| of the smallest normal double
 _SCAN_POINTS = 64
+_GRID = np.linspace(_Y_LO, _Y_HI, _SCAN_POINTS)
+# offsets of the window points from the reference lateral log-stretch:
+# 0 and +-0.02 * 2^k, k = 0..9, ascending
+_WINDOW = 0.02 * np.concatenate([-(2.0 ** np.arange(9, -1, -1)), [0.0], 2.0 ** np.arange(10)])
+
+# Rates of the log-stretches x along a protocol path, per unit log(lambda1).
+# Compressible: x = a x1 + b y with y the solved lateral log-stretch and
+# f the lateral axis: traction-free, sigma_f(x) = 0, and the stretch reported
+# as lambda_lateral (lambda_2 on the hydrostatic path, which solves nothing).
+# Incompressible: x = c x1 and the driving stress is t_1 - t_f, with the
+# same f.
+_COMP_RATES = {
+    "uniaxial": ((1.0, 0.0, 0.0), (0.0, 1.0, 1.0), 1),
+    "equibiaxial": ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0), 2),
+    "planar": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1),
+    "hydrostatic": ((1.0, 1.0, 1.0), None, 1),
+}
+_INCOMP_RATES = {"uniaxial": (1.0, -0.5, -0.5), "equibiaxial": (1.0, 1.0, -2.0),
+                 "planar": (1.0, -1.0, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -71,8 +92,8 @@ class Protocol:
 @dataclass(frozen=True)
 class LateralSolution:
     """Lateral stretches (and pressure, if incompressible) closing a protocol
-    at a given driving stretch.  ``candidates`` lists every bracketed lateral
-    root; the one continuous with the continuation branch was selected."""
+    at a given driving stretch.  ``candidates`` lists every lateral root
+    found; the one nearest the reference lateral stretch was selected."""
 
     lam2: float
     lam3: float
@@ -81,31 +102,30 @@ class LateralSolution:
     candidates: tuple = ()
 
 
+_UNSOLVED = LateralSolution(lam2=math.nan, lam3=math.nan, pressure=math.nan, residual=math.nan)
+
+
 def _residual_builder(model, kind, x1):
-    """Vectorized lateral-stress residual r(y) and its derivative, with y the
-    log of the solved lateral stretch."""
+    """The log-stretch states of ``kind``'s compressible path at lateral
+    log-stretch y, the traction-free stress r(y) there and its derivative;
+    all three vectorized over y."""
+    a, b, f = _COMP_RATES[kind]
+    driven, solved = np.flatnonzero(a), np.flatnonzero(b)
 
     def states(y):
         y = np.asarray(y, dtype=float)
-        one = np.broadcast_to(x1, y.shape)
-        if kind == "uniaxial":
-            return np.stack([one, y, y], axis=-1)
-        if kind == "equibiaxial":
-            return np.stack([one, one, y], axis=-1)
-        return np.stack([one, y, np.zeros_like(y)], axis=-1)  # planar
-
-    free = 2 if kind == "equibiaxial" else 1
+        x = np.zeros(y.shape + (3,))
+        x[..., driven] = x1
+        x[..., solved] = y[..., None]
+        return x
 
     def r(y):
-        return model.cauchy_principal(states(y))[..., free]
+        return model.cauchy_principal(states(y))[..., f]
 
     def dr(y):
-        dsig = model.stress_jac(states(y))[1][..., free, :]
-        if kind == "uniaxial":
-            return dsig[..., 1] + dsig[..., 2]
-        return dsig[..., free]
+        return model.stress_jac(states(y))[1][..., f, solved].sum(axis=-1)
 
-    return r, dr, states, free
+    return states, r, dr
 
 
 def _refine_root(r, dr, lo, hi):
@@ -136,56 +156,44 @@ def _refine_root(r, dr, lo, hi):
     return float(y)
 
 
-def _bracket_scan(r):
-    ys = np.linspace(_Y_LO, _Y_HI, _SCAN_POINTS)
-    vals = r(ys)
-    brackets = []
-    for i in range(len(ys) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            brackets.append((ys[i], ys[i]))
-        elif a * b < 0.0:
-            brackets.append((ys[i], ys[i + 1]))
-    if np.isfinite(vals[-1]) and vals[-1] == 0.0:
-        brackets.append((ys[-1], ys[-1]))
-    return ys, vals, brackets
+def _solve_lateral(r, dr, kind, lam1, ref):
+    """Every lateral root found at lam1 and the one nearest the reference
+    lateral stretch ``ref``: (chosen y, sorted candidate y's), y the lateral
+    log-stretch.
 
-
-def _solve_lateral(model, kind, lam1, warm=None):
-    """Root(s) of the lateral traction condition; returns (chosen_y, all_roots)."""
-    x1 = math.log(lam1)
-    r, dr, _, _ = _residual_builder(model, kind, x1)
-    guess = math.log(warm) if warm is not None else 0.0
-
-    if warm is not None:
-        # continuation: expanding bracket around the previous solution
-        width = 0.02
-        while width <= (_Y_HI - _Y_LO):
-            lo = max(guess - width, _Y_LO)
-            hi = min(guess + width, _Y_HI)
-            flo, fhi = r(lo), r(hi)
-            if np.isfinite(flo) and np.isfinite(fhi) and flo * fhi <= 0.0:
-                root = _refine_root(r, dr, lo, hi)
-                return root, (root,)
-            width *= 2.0
-
-    ys, vals, brackets = _bracket_scan(r)
-    if not brackets:
-        raise SolverError(
-            f"lateral root not bracketed for protocol '{kind}' at lambda1 = {lam1}; "
-            f"scanned lateral range [1e-3, 1e3]",
-            scan=list(zip(np.exp(ys), vals)),
-        )
-    roots = tuple(
-        _refine_root(r, dr, lo, hi) if hi > lo else float(lo) for lo, hi in brackets
-    )
-    chosen = min(roots, key=lambda y: abs(y - guess))
-    return chosen, roots
-
-
-_INCOMP_FREE = {"uniaxial": 1, "equibiaxial": 2, "planar": 1}
+    One residual evaluation covers the 64-point grid over [1e-3, 1e3] and a
+    window around ref (ref and ref +- 0.02 * 2^k, k = 0..9, clipped to the
+    grid's range).  A grid cell whose ends differ in sign gives one root,
+    bisected on the cell; in every other cell, each window sub-cell whose ends
+    differ in sign gives one, bisected on the sub-cell, so two roots inside
+    one cell are found where the window sees them.  A point where r is
+    exactly zero is a root (window points only inside cells of the second
+    kind).  Points where r is not finite bracket nothing.
+    """
+    y_ref = math.log(ref)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = np.concatenate([_GRID, np.clip(y_ref + _WINDOW, _Y_LO, _Y_HI)])
+        vals = r(ys)
+        sign = np.where(np.isfinite(vals), np.sign(vals), np.nan)  # NaN compares False
+        g = sign[:_SCAN_POINTS]
+        flip = g[:-1] * g[1:] < 0.0
+        closed = np.append(flip, True)  # the last grid point starts no cell
+        # merged order, grid first among equal points; cell = left grid point
+        order = np.argsort(ys, kind="stable")
+        cell = np.cumsum(order < _SCAN_POINTS) - 1
+        p, s = ys[order], sign[order]
+        hidden = ~closed[cell[:-1]] & (p[1:] > p[:-1]) & (s[:-1] * s[1:] < 0.0)
+        brackets = [*zip(_GRID[:-1][flip], _GRID[1:][flip]), *zip(p[:-1][hidden], p[1:][hidden])]
+        zeros = [*_GRID[g == 0.0], *p[~closed[cell] & (s == 0.0) & (p > _GRID[cell])]]
+        if not (brackets or zeros):
+            raise SolverError(
+                f"lateral root not bracketed for protocol '{kind}' at lambda1 = {lam1}; "
+                f"scanned lateral range [1e-3, 1e3]",
+                scan=list(zip(np.exp(_GRID), vals[:_SCAN_POINTS])),
+            )
+        roots = sorted([_refine_root(r, dr, lo, hi) for lo, hi in brackets]
+                       + [float(z) for z in zeros])
+    return min(roots, key=lambda y: abs(y - y_ref)), tuple(roots)
 
 
 def _incompressible_kinematics(kind, lam1):
@@ -194,64 +202,48 @@ def _incompressible_kinematics(kind, lam1):
             "hydrostatic tension is kinematically impossible at J = 1 "
             "with equal stretches"
         )
-    x = math.log(lam1) * np.array(_INCOMP_RATES[kind])
+    rates = _INCOMP_RATES[kind]
+    x = math.log(lam1) * np.array(rates)
     if np.max(np.abs(x)) > _X_RANGE:
         raise DomainError(f"protocol '{kind}' at lambda1 = {lam1}: the closed kinematics "
                           f"give stretches exp({x.tolist()}) outside the floating-point range")
-    if kind == "uniaxial":
-        return lam1 ** -0.5, lam1 ** -0.5
-    if kind == "equibiaxial":
-        return lam1, lam1 ** -2.0
-    return 1.0 / lam1, 1.0  # planar
+    # lam1 ** c, with the rate -1 written 1 / lam1 as the closed form reads
+    return tuple(1.0 / lam1 if c == -1.0 else lam1 ** c for c in rates[1:])
 
 
 def lateral_closure(model, protocol: Protocol, lam1, warm=None) -> LateralSolution:
     """Lateral stretches (lam2, lam3) and, for incompressible models, the
     pressure that close the protocol at driving stretch lam1.
 
-    ``warm`` is an optional continuation guess for the solved lateral stretch;
-    without it the solver cold-starts from a full bracketing scan.
+    Compressible closures take the root nearest a reference lateral stretch
+    (see ``_solve_lateral``): ``warm`` if given, as a sweep passes its
+    previous row, otherwise 1, the reference state's.  ``warm`` moves only
+    that reference; every candidate root is found the same way.
     """
     if lam1 <= 0.0 or not np.isfinite(lam1):
         raise ConfigurationError(f"driving stretch must be positive, got {lam1}")
+    kind = protocol.kind
     if model.incompressible:
-        lam2, lam3 = _incompressible_kinematics(protocol.kind, lam1)
-        x = np.log([lam1, lam2, lam3])
-        t = model.extra_tau(x)
-        p = float(t[_INCOMP_FREE[protocol.kind]])
-        return LateralSolution(lam2=lam2, lam3=lam3, pressure=p, residual=0.0)
-
-    if protocol.kind == "hydrostatic":
+        lam2, lam3 = _incompressible_kinematics(kind, lam1)
+        t = model.extra_tau(np.log([lam1, lam2, lam3]))
+        return LateralSolution(lam2=lam2, lam3=lam3, pressure=float(t[_COMP_RATES[kind][2]]),
+                               residual=0.0)
+    if kind == "hydrostatic":
         return LateralSolution(lam2=lam1, lam3=lam1)
 
-    y, roots = _solve_lateral(model, protocol.kind, lam1, warm=warm)
-    r, dr, states, free = _residual_builder(model, protocol.kind, math.log(lam1))
-    res = float(r(y))
-    scale = max(1.0, float(np.max(np.abs(model.cauchy_principal(states(y))))))
-    for _ in range(3):
-        if abs(res) <= 1e-10 * scale:
-            break
-        slope = dr(y)
-        if slope == 0.0:
-            break
-        y -= res / slope
-        res = float(r(y))
-    if abs(res) > 1e-10 * scale:
+    states, r, dr = _residual_builder(model, kind, math.log(lam1))
+    y, roots = _solve_lateral(r, dr, kind, lam1, 1.0 if warm is None else warm)
+    a, b, f = _COMP_RATES[kind]
+    s = model.cauchy_principal(states(y))
+    res = float(s[f])
+    if abs(res) > 1e-10 * max(1.0, float(np.max(np.abs(s)))):
         raise SolverError(
             f"lateral residual {res} above tolerance at lambda1 = {lam1}"
         )
     lat = math.exp(y)
-    cands = tuple(math.exp(v) for v in roots)
-    if protocol.kind == "uniaxial":
-        return LateralSolution(lam2=lat, lam3=lat, residual=res, candidates=cands)
-    if protocol.kind == "equibiaxial":
-        return LateralSolution(lam2=lam1, lam3=lat, residual=res, candidates=cands)
-    return LateralSolution(lam2=lat, lam3=1.0, residual=res, candidates=cands)
-
-
-def _lateral_of(protocol, closure):
-    """The non-driven stretch of a closure."""
-    return closure.lam3 if protocol.kind == "equibiaxial" else closure.lam2
+    lam2, lam3 = (lam1 if a[i] else lat if b[i] else 1.0 for i in (1, 2))
+    return LateralSolution(lam2=lam2, lam3=lam3, residual=res,
+                           candidates=tuple(math.exp(v) for v in roots))
 
 
 def driving_stress(model, protocol: Protocol, lam1, warm=None):
@@ -260,20 +252,6 @@ def driving_stress(model, protocol: Protocol, lam1, warm=None):
     closure = lateral_closure(model, protocol, lam1, warm=warm)
     row = _curve_rows(model, protocol, [lam1], [closure], with_moduli=False)
     return float(row.stress_driving[0]), closure
-
-
-# Rates of the log-stretches x along a protocol path, per unit log(lambda1).
-# Compressible: x = a x1 + b y with y the solved lateral log-stretch and
-# f the traction-free axis, sigma_f(x) = 0.  Incompressible: x = c x1 and the
-# driving stress is t_1 - t_f.
-_COMP_RATES = {
-    "uniaxial": ((1.0, 0.0, 0.0), (0.0, 1.0, 1.0), 1),
-    "equibiaxial": ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0), 2),
-    "planar": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1),
-    "hydrostatic": ((1.0, 1.0, 1.0), None, None),
-}
-_INCOMP_RATES = {"uniaxial": (1.0, -0.5, -0.5), "equibiaxial": (1.0, 1.0, -2.0),
-                 "planar": (1.0, -1.0, 0.0)}
 
 
 def _log_slopes(model, protocol, x):
@@ -287,10 +265,10 @@ def _log_slopes(model, protocol, x):
     paths have closed kinematics and slope (G c)_1 - (G c)_f.
     """
     G = model.stress_jac(x)[1]
+    a, b, f = _COMP_RATES[protocol.kind]
     if model.incompressible:
         Gc = G @ np.array(_INCOMP_RATES[protocol.kind])
-        return Gc[..., 0] - Gc[..., _INCOMP_FREE[protocol.kind]]
-    a, b, f = _COMP_RATES[protocol.kind]
+        return Gc[..., 0] - Gc[..., f]
     Ga = G @ np.array(a)
     if b is None:
         return Ga[..., 0]
@@ -372,7 +350,7 @@ def _curve_rows(model, protocol, lam1s, closures, with_moduli=True) -> CurveTabl
         mod, mod_log = np.full((2, len(lam1)), np.nan)
     return CurveTable(
         lambda1=lam1,
-        lambda_lateral=np.array([_lateral_of(protocol, c) for c in closures]),
+        lambda_lateral=lams[:, _COMP_RATES[protocol.kind][2]],
         stress_driving=drv,
         stress_biot=biot,
         energy=model.energy(lams),
@@ -383,10 +361,14 @@ def _curve_rows(model, protocol, lam1s, closures, with_moduli=True) -> CurveTabl
 
 def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) -> CurveTable:
     """Sweep the protocol over a stretch grid, marching outward from the
-    reference state in both directions so every closure is warm-started.
+    reference state in both directions; each closure takes the root nearest
+    the last solved lateral stretch.
 
     The grid is linspace(lam_min, lam_max, steps); 1.0 is inserted when the
     range straddles it so the reference row exists and seeds the continuation.
+    A state whose closure fails (no bracketed root, or a residual above
+    tolerance) is a row of NaN but for lambda1; the march goes on from the
+    last solved state.
     """
     if not (0.0 < lam_min < lam_max):
         raise ConfigurationError(f"need 0 < lam_min < lam_max, got ({lam_min}, {lam_max})")
@@ -399,16 +381,16 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
     grid = np.asarray(grid)
 
     n = len(grid)
-    closures: list = [None] * n
+    closures = [_UNSOLVED] * n
+    f = _COMP_RATES[protocol.kind][2]
     upper = [i for i in range(n) if grid[i] >= 1.0]
     lower = [i for i in range(n) if grid[i] < 1.0][::-1]
     for chain in (upper, lower):
         warm = 1.0
         for i in chain:
             try:
-                closure = lateral_closure(model, protocol, float(grid[i]), warm=warm)
-            except SolverError as exc:
-                raise SolverError(f"sweep failed at lambda1 = {grid[i]}: {exc}") from exc
-            closures[i] = closure
-            warm = _lateral_of(protocol, closure)
+                closures[i] = lateral_closure(model, protocol, float(grid[i]), warm=warm)
+            except SolverError:
+                continue
+            warm = (closures[i].lam2, closures[i].lam3)[f - 1]
     return _curve_rows(model, protocol, grid, closures, with_moduli)

@@ -451,6 +451,24 @@ def test_nonfinite_states_fail_after_output(capsys, tmp_path, command):
         assert out.splitlines()[3:] == ["5e+199,1.414213562373095e-100,inf,inf,inf,inf,inf",
                                         "1e+200,1e-100,inf,inf,inf,inf,inf"]
         assert "lambda1 = 5e+199" in err
+        # the lateral stretch lambda1^(-2 nu / (1 - nu)) leaves the solved
+        # range [1e-3, 1e3] above lambda1 ~ 36.4: those closures bracket no
+        # root and are NaN rows (the sweep printed only the error, no rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--model", "quadratic_hencky", "--E", "1",
+                                     "--nu", "0.49", "--protocol", "equibiaxial",
+                                     "--grid", "0.5:50:40")
+        assert code == 1 and err.count("\n") == 1
+        assert "'equibiaxial': 11 of 41 states" in err
+        assert "the first at lambda1 = 37.30769230769231" in err
+        table = CurveTable.from_csv(out)
+        rows = np.stack([table.lambda_lateral, table.stress_driving, table.stress_biot,
+                         table.energy, table.modulus_incr, table.modulus_incr_log], axis=-1)
+        assert np.all(np.isfinite(table.lambda1))
+        assert np.all(np.isfinite(rows[:30])) and np.all(np.isnan(rows[30:]))
+        np.testing.assert_allclose(table.lambda_lateral[:30],
+                                   table.lambda1[:30] ** (-0.98 / 0.51), rtol=1e-9)
 
 
 SHARED_PARSER_ARGV = [

@@ -9,10 +9,13 @@ leaves all four kinds of stale name behind, and no linter ships with the
 package.  The
 package imports only the standard library and the dependencies
 ``pyproject.toml`` declares; scipy, mpmath, sympy and hypothesis are for the
-tests alone.
+tests alone.  Every backticked ``name(params)`` in README.md and PAPER.md
+that names an export of ``corostab`` or a method of an exported class lists
+the parameters of the code, in order.
 """
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -175,3 +178,38 @@ def test_imports_only_stdlib_and_declared_dependencies(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             top.add(node.module.split(".")[0])
     assert top <= allowed, f"{path.name}: imports outside stdlib and dependencies {sorted(top - allowed)}"
+
+
+DOCS = [Path(__file__).resolve().parents[1] / name for name in ("README.md", "PAPER.md")]
+_DOC_CALL = re.compile(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`")
+
+
+def _documented_callables(name):
+    """The corostab exports or methods of exported classes a documented name
+    (``sweep``, ``CurveTable.to_csv``, ``to_csv``) can mean."""
+    name = name.rpartition(".")[2]
+    if name in corostab.__all__:
+        return [getattr(corostab, name)]
+    classes = [getattr(corostab, n) for n in corostab.__all__]
+    return [getattr(c, name) for c in classes
+            if isinstance(c, type) and callable(getattr(c, name, None))]
+
+
+def _parameter_names(fn):
+    names = list(inspect.signature(fn).parameters)
+    return names[1:] if names[:1] == ["self"] else names
+
+
+def test_documented_signatures_match_code():
+    # each backticked `name(p1, p2=default)` that names an export or one of its
+    # methods lists the parameter names of the code, in order
+    wrong, checked = [], 0
+    for doc in DOCS:
+        for name, params in _DOC_CALL.findall(doc.read_text()):
+            fns = _documented_callables(name)
+            documented = [p.partition("=")[0].strip() for p in params.split(",") if p.strip()]
+            checked += bool(fns)
+            if fns and all(_parameter_names(fn) != documented for fn in fns):
+                wrong.append(f"{doc.name}: {name}({params}) vs {_parameter_names(fns[0])}")
+    assert checked >= 20  # README.md and PAPER.md list 13 each
+    assert not wrong, f"documented signatures that differ from the code: {wrong}"

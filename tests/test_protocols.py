@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,99 @@ def test_cold_warm_consistency(exph, qh):
         for lam1 in (0.6, 1.4, 2.4, 3.6):
             cold = lateral_closure(m, p, lam1)
             warm = lateral_closure(m, p, lam1, warm=cold.lam2 * (1 + 1e-3 * rng.standard_normal()))
-            assert warm.lam2 == pytest.approx(cold.lam2, abs=1e-9)
+            # warm moves only the reference of the root choice: the same grid
+            # cell's root, refined the same way
+            assert warm.lam2 == cold.lam2
+            assert warm.candidates == cold.candidates
+
+
+# exp_hencky with several lateral roots near lambda1 = 1 in every solved protocol
+FOLD = {"E": 1.0, "nu": -0.4, "k": 0.5, "khat": 2.0}
+
+
+@pytest.mark.parametrize("kind,rows", [
+    # the upper branch ends between 1.175 and 1.1875; a grid-only solve left
+    # it at 1.175 for the lower root 0.6228
+    ("uniaxial", {1.175: 1.1224385946, 1.1875: 0.6176150613}),
+    # the upper branch ends between 1.4125 and 1.425; a grid-only solve left
+    # it one row early
+    ("planar", {1.4125: 1.2385891355, 1.425: 0.2023041236}),
+])
+def test_sweep_follows_its_branch_to_the_fold(kind, rows):
+    # the window around the previous row's lateral stretch finds the root the
+    # march is on even where a second root shares its grid cell; past the
+    # fold the nearest remaining root is taken
+    m = instantiate_model("exp_hencky", FOLD)
+    tab = sweep(m, Protocol(kind), 0.5, 3.0, 201, with_moduli=False)
+    for lam1, lateral in rows.items():
+        (i,) = np.flatnonzero(np.isclose(tab.lambda1, lam1, rtol=0, atol=1e-12))
+        assert tab.lambda_lateral[i] == pytest.approx(lateral, rel=1e-9), lam1
+
+
+def test_close_roots_in_one_grid_cell_are_candidates():
+    # the roots 1.01329 and 1.08311 lie in one 0.22-wide grid cell of
+    # log(lateral), which the grid alone sees as one without a sign change;
+    # the window around the reference 1 brackets both, and the one nearest 1
+    # is chosen (a 200,001-point scan finds the same three roots)
+    m = instantiate_model("neo_hooke_vol_iso", {"mu": 1.14437, "kappa": 3.26721})
+    c = lateral_closure(m, Protocol("uniaxial"), 0.326254)
+    np.testing.assert_allclose(c.candidates, (0.4177216021, 1.0132881157, 1.0831167153),
+                               rtol=0, atol=1e-9)
+    assert c.lam2 == c.lam3 == c.candidates[1]
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("exp_hencky", {"mu": 1.0, "lambda_lame": 2.0, "k": 1.0, "khat": 1.0}),
+    ("quadratic_hencky", {"E": 1.0, "nu": 0.3}),
+    ("neo_hooke_vol_iso", {"mu": 1.0, "kappa": 3.0}),
+])
+def test_single_states_equal_sweep_rows(kind, params):
+    # one solve for both: a single state and the sweep row through it choose
+    # the same grid root, refined on the same cell, so they agree to the bit
+    # (separate cold and warm solvers differed in the last bits on 17 of
+    # these 234 rows)
+    m = instantiate_model(kind, params)
+    for proto in ("uniaxial", "equibiaxial", "planar"):
+        p = Protocol(proto)
+        tab = sweep(m, p, 0.5, 3.0, 26)
+        for i, lam1 in enumerate(tab.lambda1):
+            stress, closure = driving_stress(m, p, float(lam1))
+            assert stress == tab.stress_driving[i], (proto, lam1)
+            assert (closure.lam2, closure.lam3)[proto == "equibiaxial"] == tab.lambda_lateral[i]
+            assert incremental_moduli(m, p, float(lam1)) == (tab.modulus_incr[i],
+                                                             tab.modulus_incr_log[i])
+
+
+@pytest.mark.parametrize("stiffening", [{"k": 8.0, "khat": 1.0}, {"k": 1.0, "khat": 4.0}],
+                         ids=["k8", "khat4"])
+def test_library_closures_do_not_warn(stiffening):
+    # the residual scan overflows exp(k x^2) far from the root and skips
+    # those points without a numpy warning, outside the command line too
+    m = instantiate_model("exp_hencky", {"mu": 1.0, "lambda_lame": 2.0, **stiffening})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = lateral_closure(m, Protocol("uniaxial"), 1.2)
+        tab = sweep(m, Protocol("uniaxial"), 0.5, 3.0, 26)
+    (i,) = np.flatnonzero(np.isclose(tab.lambda1, 1.2, rtol=0, atol=1e-12))
+    assert c.lam2 == pytest.approx(tab.lambda_lateral[i], rel=1e-12)
+    assert np.all(np.isfinite(tab.lambda_lateral))
+
+
+def test_sweep_keeps_rows_past_an_unbracketed_closure():
+    # lambda_3 = lambda1^(-2 nu / (1 - nu)) leaves [1e-3, 1e3] above
+    # lambda1 ~ 36.4; those 11 rows are NaN but for lambda1, the others solved
+    m = instantiate_model("quadratic_hencky", {"E": 1.0, "nu": 0.49})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = sweep(m, Protocol("equibiaxial"), 0.5, 50.0, 40)
+    assert len(tab.lambda1) == 41 and np.all(np.isfinite(tab.lambda1))
+    bad = np.isnan(tab.lambda_lateral)
+    assert np.count_nonzero(bad) == 11 and tab.lambda1[bad][0] == 37.30769230769231
+    for column in (tab.stress_driving, tab.stress_biot, tab.energy, tab.modulus_incr,
+                   tab.modulus_incr_log):
+        assert np.all(np.isnan(column[bad])) and np.all(np.isfinite(column[~bad]))
+    with pytest.raises(SolverError, match="not bracketed"):
+        lateral_closure(m, Protocol("equibiaxial"), float(tab.lambda1[bad][0]))
 
 
 def test_unsolvable_closure_reports_scan():
