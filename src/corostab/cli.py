@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from .errors import CorostabError, ConfigurationError, DomainError, UsageError
-from .materials import MODEL_KINDS, StretchState, instantiate_model
+from .materials import MODEL_KINDS, PARAMETER_NAMES, StretchState, instantiate_model
 from .protocols import (
     PROTOCOL_KINDS,
     Protocol,
@@ -52,8 +52,6 @@ from .stability import principal_block, region_scan
 
 _CONSTITUTIVE_CHECKS = ("csp", "be", "te", "tsts_m_plus", "hill")
 
-_PARAM_FLAGS = ("mu", "lambda_lame", "E", "nu", "k", "khat", "kappa")
-
 _RATE_BLOCK = 100  # rate-verify cases per stacked evaluation, about 10 KB each
 
 
@@ -68,21 +66,16 @@ def _add_model_args(p):
     g = p.add_argument_group("model")
     g.add_argument("--model", choices=MODEL_KINDS, help="catalog model kind")
     g.add_argument("--config", help="JSON config file with kind/parameters")
-    g.add_argument("--mu", type=float)
-    g.add_argument("--lambda-lame", dest="lambda_lame", type=float)
-    g.add_argument("--E", type=float)
-    g.add_argument("--nu", type=float)
-    g.add_argument("--k", type=float)
-    g.add_argument("--khat", type=float)
-    g.add_argument("--kappa", type=float)
+    for name in PARAMETER_NAMES:
+        g.add_argument("--" + name.replace("_", "-"), dest=name, type=float)
 
 
-def _add_grid_args(p, default=None):
+def _add_grid_args(p):
     g = p.add_argument_group("grid")
     g.add_argument("--lambda-min", dest="lambda_min", type=float)
     g.add_argument("--lambda-max", dest="lambda_max", type=float)
     g.add_argument("--steps", type=int)
-    g.add_argument("--grid", default=default, help="a:b:n shorthand")
+    g.add_argument("--grid", help="a:b:n shorthand")
 
 
 def build_parser():
@@ -111,7 +104,7 @@ def build_parser():
 
     p = sub.add_parser("scan", help="stability region scan to CSV + JSON")
     _add_model_args(p)
-    _add_grid_args(p, default=None)
+    _add_grid_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=128)
     p.add_argument("--out")
@@ -153,7 +146,7 @@ def resolve_model(args):
                 raise ConfigurationError(
                     f"config 'incompressible'={flagged} contradicts kind '{kind}'"
                 )
-    for name in _PARAM_FLAGS:
+    for name in PARAMETER_NAMES:
         v = getattr(args, name, None)
         if v is not None:
             params[name] = v
@@ -295,15 +288,11 @@ def _cmd_scan(args):
     ranged = args.grid or any(
         v is not None for v in (args.lambda_min, args.lambda_max, args.steps)
     )
-    grid = _grid_triplet(args, "scan") if ranged else (0.5, 3.0, 11)
-    report = region_scan(model, grid=grid, seed=args.seed, pairs=args.pairs)
+    grid = {"grid": _grid_triplet(args, "scan")} if ranged else {}  # else region_scan's default
+    report = region_scan(model, **grid, seed=args.seed, pairs=args.pairs)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(report.to_csv())
-        with open(_json_out_path(args.out), "w", newline="") as fh:
-            fh.write(report.to_json_summary() + "\n")
-    else:
-        sys.stdout.write(report.to_json_summary() + "\n")
+        _emit(report.to_csv(), args.out)
+    _emit(report.to_json_summary() + "\n", args.out and _json_out_path(args.out))
     te_lh = [] if model.incompressible else [report.te_margin, report.lh_min]  # NaN by design
     _fail_on_nonfinite("", "stretches", report.states, report.csp_min_eig, report.be_margin,
                        *te_lh)
@@ -324,24 +313,26 @@ def _cmd_rate_verify(args):
     def relative(res, ref):
         return float(np.max(res / np.maximum(1.0, np.abs(ref))))
 
-    # per case: the cubic coefficients of the three stretch paths, then the
-    # instant; each path is evaluated in scalar arithmetic, case by case, so
-    # a seed gives the same motions bit for bit at any --cases.  The cases
-    # are evaluated in stacks of at most _RATE_BLOCK, one call per identity
-    # per stack, so memory stays flat at any --cases
+    # per case, ten uniform draws in case order: the cubic coefficients
+    # (c0, c1, c2) of the three stretch paths in [-0.4, 0.4), then the
+    # instant t in [0, 0.5), as lo + (hi - lo) * u, which is how
+    # Generator.uniform draws them.  A seed gives the same motions bit for bit
+    # at any --cases.  The cases are drawn and evaluated in stacks of at most
+    # _RATE_BLOCK, one call per identity per stack, so memory stays flat at
+    # any --cases
     rng = np.random.default_rng(args.seed)
     worst = {"power": 0.0, "second_order_three_way": 0.0, "rate_form": 0.0}
+    axes = np.arange(3)
     for start in range(0, args.cases, _RATE_BLOCK):
-        paths = np.zeros((3, min(_RATE_BLOCK, args.cases - start), 3, 3))  # F, Fdot, Fddot
-        for n in range(paths.shape[1]):
-            coef = rng.uniform(-0.4, 0.4, size=(3, 3))
-            t = float(rng.uniform(0.0, 0.5))
-            for i, c in enumerate(coef):
-                paths[:, n, i, i] = (
-                    1.0 + c[0] * t + c[1] * t * t / 2 + c[2] * t**3 / 6,
-                    c[0] + c[1] * t + c[2] * t * t / 2,
-                    c[1] + c[2] * t,
-                )
+        u = rng.random((min(_RATE_BLOCK, args.cases - start), 10))
+        c0, c1, c2 = np.moveaxis(-0.4 + 0.8 * u[:, :9].reshape(-1, 3, 3), -1, 0)  # (m, axis)
+        t = 0.5 * u[:, 9:]
+        paths = np.zeros((3, len(u), 3, 3))  # F, Fdot, Fddot
+        # float_power is the C library's pow, like a Python float's **; the
+        # SIMD loop of np.power may round t^3 differently in the last bit
+        paths[:, :, axes, axes] = (1.0 + c0 * t + c1 * t * t / 2 + c2 * np.float_power(t, 3) / 6,
+                                   c0 + c1 * t + c2 * t * t / 2,
+                                   c1 + c2 * t)
         motion = MotionSample(*paths)
         lhs, _, res = power_identity(model, motion)
         ref, spat, _ = second_order_work_identity(model, motion)

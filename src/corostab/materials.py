@@ -42,6 +42,7 @@ __all__ = [
     "MODEL_KINDS",
     "NeoHookeIncompressible",
     "NeoHookeVolIso",
+    "PARAMETER_NAMES",
     "QuadraticHencky",
     "QuadraticHenckyIncompressible",
     "StretchState",
@@ -478,90 +479,76 @@ class ExponentiatedHenckyIncompressible(_IncompressibleModel):
         return {"mu": self.mu, "k": self.k}
 
 
-MODEL_KINDS = (
-    "exp_hencky",
-    "quadratic_hencky",
-    "neo_hooke_vol_iso",
-    "neo_hooke_incompressible",
-    "quadratic_hencky_incompressible",
-    "exp_hencky_incompressible",
-)
+def _constants(p):
+    """Small-strain constants of a checked map holding (mu, lambda_lame) or (E, nu)."""
+    if "E" in p:
+        return ElasticConstants.from_young_poisson(p["E"], p["nu"])
+    return ElasticConstants(p["mu"], p["lambda_lame"])
 
 
-def _constants_from_params(kind, params):
-    """Resolve (mu, lambda) from exactly one of the accepted parameterizations."""
-    has_lame = "mu" in params and "lambda_lame" in params
-    has_young = "E" in params and "nu" in params
-    if has_lame and has_young:
-        raise ConfigurationError(
-            f"model '{kind}': give either (mu, lambda_lame) or (E, nu), not both"
-        )
-    if has_lame:
-        return ElasticConstants(params["mu"], params["lambda_lame"]), {"mu", "lambda_lame"}
-    if has_young:
-        return ElasticConstants.from_young_poisson(params["E"], params["nu"]), {"E", "nu"}
-    raise ConfigurationError(
-        f"model '{kind}': missing parameters, need (mu, lambda_lame) or (E, nu)"
-    )
+def _mu_of(p):
+    """mu of a checked map holding mu or E; E = 3 mu at J = 1."""
+    return p["mu"] if "mu" in p else p["E"] / 3.0
 
 
-def _reject_extras(kind, params, used):
-    extras = set(params) - used
-    if extras:
-        raise ConfigurationError(f"model '{kind}': unknown parameter(s) {sorted(extras)}")
+def _neo_hooke_vol_iso(p):
+    if "kappa" in p:
+        return NeoHookeVolIso(p["mu"], p["kappa"])
+    c = _constants(p)
+    return NeoHookeVolIso(c.mu, c.bulk)
+
+
+_LAME, _YOUNG, _MU, _E = ("mu", "lambda_lame"), ("E", "nu"), ("mu",), ("E",)
+
+# The one table of accepted parameters, per kind: the parameterizations, of
+# which exactly one is given, the parameters every one of them also needs, and
+# the builder of the model from a map checked against both.
+_CATALOG = {
+    "exp_hencky": ((_LAME, _YOUNG), ("k", "khat"),
+                   lambda p: ExponentiatedHencky(_constants(p), p["k"], p["khat"])),
+    "quadratic_hencky": ((_LAME, _YOUNG), (), lambda p: QuadraticHencky(_constants(p))),
+    "neo_hooke_vol_iso": ((("mu", "kappa"), _LAME, _YOUNG), (), _neo_hooke_vol_iso),
+    "neo_hooke_incompressible": ((_MU, _E), (), lambda p: NeoHookeIncompressible(_mu_of(p))),
+    "quadratic_hencky_incompressible": ((_MU, _E), (),
+                                        lambda p: QuadraticHenckyIncompressible(_mu_of(p))),
+    "exp_hencky_incompressible": ((_MU, _E), ("k",),
+                                  lambda p: ExponentiatedHenckyIncompressible(_mu_of(p), p["k"])),
+}
+
+MODEL_KINDS = tuple(_CATALOG)
+# every parameter name of the table, in the order of first appearance
+PARAMETER_NAMES = tuple(dict.fromkeys(
+    name for sets, extras, _ in _CATALOG.values() for names in (*sets, extras) for name in names
+))
 
 
 def instantiate_model(kind: str, parameters: Mapping[str, float]) -> MaterialModel:
     """Build a validated catalog model from a kind name and a numeric map.
 
-    Compressible kinds accept (mu, lambda_lame) or (E, nu); the Neo-Hooke
-    split additionally accepts (mu, kappa).  Incompressible kinds accept mu
-    or E (= 3 mu).  Mixed parameterizations are rejected.
+    The map holds exactly one of the kind's parameterizations in ``_CATALOG``
+    (compressible kinds: (mu, lambda_lame) or (E, nu), the Neo-Hooke split
+    also (mu, kappa); incompressible kinds: mu or E = 3 mu), the parameters
+    the kind also needs (k and khat for exp_hencky, k for
+    exp_hencky_incompressible) and nothing else.  Any other map, an unknown
+    kind or a value outside a model's constraints is a ConfigurationError.
     """
     params = {k: float(v) for k, v in dict(parameters).items()}
-    if kind == "exp_hencky":
-        constants, used = _constants_from_params(kind, params)
-        for name in ("k", "khat"):
-            if name not in params:
-                raise ConfigurationError(f"model '{kind}': missing parameter '{name}'")
-        _reject_extras(kind, params, used | {"k", "khat"})
-        return ExponentiatedHencky(constants, params["k"], params["khat"])
-    if kind == "quadratic_hencky":
-        constants, used = _constants_from_params(kind, params)
-        _reject_extras(kind, params, used)
-        return QuadraticHencky(constants)
-    if kind == "neo_hooke_vol_iso":
-        if "kappa" in params:
-            if not {"mu", "kappa"} <= set(params) or "E" in params or "nu" in params:
-                raise ConfigurationError(
-                    f"model '{kind}': kappa parameterization needs exactly (mu, kappa)"
-                )
-            _reject_extras(kind, params, {"mu", "kappa"})
-            return NeoHookeVolIso(params["mu"], params["kappa"])
-        constants, used = _constants_from_params(kind, params)
-        _reject_extras(kind, params, used)
-        return NeoHookeVolIso(constants.mu, constants.bulk)
-    if kind in ("neo_hooke_incompressible", "quadratic_hencky_incompressible",
-                "exp_hencky_incompressible"):
-        if "mu" in params and "E" in params:
-            raise ConfigurationError(f"model '{kind}': give either mu or E, not both")
-        if "mu" in params:
-            mu, used = params["mu"], {"mu"}
-        elif "E" in params:
-            mu, used = params["E"] / 3.0, {"E"}
-        else:
-            raise ConfigurationError(f"model '{kind}': missing parameter 'mu' (or 'E')")
-        if kind == "neo_hooke_incompressible":
-            _reject_extras(kind, params, used)
-            return NeoHookeIncompressible(mu)
-        if kind == "quadratic_hencky_incompressible":
-            _reject_extras(kind, params, used)
-            return QuadraticHenckyIncompressible(mu)
-        if "k" not in params:
-            raise ConfigurationError(f"model '{kind}': missing parameter 'k'")
-        _reject_extras(kind, params, used | {"k"})
-        return ExponentiatedHenckyIncompressible(mu, params["k"])
-    raise ConfigurationError(f"unknown model kind '{kind}' (known: {', '.join(MODEL_KINDS)})")
+    if kind not in _CATALOG:
+        raise ConfigurationError(f"unknown model kind '{kind}' (known: {', '.join(MODEL_KINDS)})")
+    sets, extras, build = _CATALOG[kind]
+    given = [names for names in sets if params.keys() >= set(names)]
+    if len(given) != 1:
+        options = " or ".join(f"({', '.join(names)})" for names in sets)
+        raise ConfigurationError(
+            f"model '{kind}': give exactly one of {options}, got {sorted(params)}"
+        )
+    missing = [name for name in extras if name not in params]
+    if missing:
+        raise ConfigurationError(f"model '{kind}': missing parameter(s) {missing}")
+    unknown = params.keys() - {*given[0], *extras}
+    if unknown:
+        raise ConfigurationError(f"model '{kind}': unknown parameter(s) {sorted(unknown)}")
+    return build(params)
 
 
 def _spd_log_stretches(B):

@@ -366,9 +366,10 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
 
     The grid is linspace(lam_min, lam_max, steps); 1.0 is inserted when the
     range straddles it so the reference row exists and seeds the continuation.
-    A state whose closure fails (no bracketed root, or a residual above
-    tolerance) is a row of NaN but for lambda1; the march goes on from the
-    last solved state.
+    A state whose closure fails (no bracketed root, a residual above
+    tolerance, or closed incompressible kinematics outside the floating-point
+    range) is a row of NaN but for lambda1; the march goes on from the last
+    solved state.
     """
     if not (0.0 < lam_min < lam_max):
         raise ConfigurationError(f"need 0 < lam_min < lam_max, got ({lam_min}, {lam_max})")
@@ -390,7 +391,7 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
         for i in chain:
             try:
                 closures[i] = lateral_closure(model, protocol, float(grid[i]), warm=warm)
-            except SolverError:
+            except (SolverError, DomainError):
                 continue
             warm = (closures[i].lam2, closures[i].lam3)[f - 1]
     return _curve_rows(model, protocol, grid, closures, with_moduli)

@@ -134,8 +134,8 @@ def csp_rate_form(model: MaterialModel, motion: MotionSample):
 
     lhs differentiates the principal Cauchy stresses in time by central
     differences along the (Taylor-reconstructed) stretch path; rhs applies the
-    chain rule through the analytic stress-stretch derivatives and sums
-    d_t[sigma_i] * lamdot_i / lam_i.  Returns (lhs, rhs, |lhs - rhs|).
+    chain rule through the model's exact stress Jacobian (``stress_jac``) and
+    sums d_t[sigma_i] * lamdot_i / lam_i.  Returns (lhs, rhs, |lhs - rhs|).
     """
     _require_compressible(model)
     if not motion.is_diagonal:
@@ -152,12 +152,8 @@ def csp_rate_form(model: MaterialModel, motion: MotionSample):
     sig_dot = _dt_richardson(sigma_p)
     lhs = np.sum(sig_dot * rate, axis=-1)
 
-    # chain rule: d sigma_i / d lam_j = e^{-s}(H_ij - tau_i) / lam_j
-    x = np.log(lam)
-    tau = model.ghat_grad(x)
-    hess = model.ghat_hess(x)
-    J_inv = np.exp(-np.sum(x, axis=-1))[..., None, None]
-    dsig_dlam = J_inv * (hess - tau[..., :, None]) / lam[..., None, :]
+    # chain rule: d sigma_i / d lam_j = G_ij / lam_j, G = d sigma / d log(lam)
+    dsig_dlam = model.stress_jac(np.log(lam))[1] / lam[..., None, :]
     sig_dot_chain = np.einsum("...ij,...j->...i", dsig_dlam, lamd)
     rhs = np.sum(sig_dot_chain * rate, axis=-1)
     return lhs, rhs, np.abs(lhs - rhs)

@@ -418,6 +418,11 @@ NONFINITE_CASES = {
     "sweep": (("sweep", "--model", "neo_hooke_incompressible", "--mu", "1",
                "--protocol", "uniaxial", "--grid", "0.5:1e200:3"),
               "2 of 4 states", "'uniaxial'"),
+    # lambda3 = lambda1^-2 leaves the floating-point range past lambda1 ~ 1e154;
+    # the DomainError of the closed kinematics was the only output, no rows
+    "sweep-out-of-range": (("sweep", "--model", "neo_hooke_incompressible", "--mu", "1",
+                            "--protocol", "equibiaxial", "--grid", "0.5:1e200:3"),
+                           "2 of 4 states", "'equibiaxial'"),
 }
 
 
@@ -447,6 +452,13 @@ def test_nonfinite_states_fail_after_output(capsys, tmp_path, command):
         assert rows[13] == (
             "1,1,1,500000000000.25,500000000000.25,500000000000.25,nan,0.0,nan,nan,0,1"
         )
+    elif command == "sweep-out-of-range":
+        assert "lambda1 = 5e+199" in err
+        assert out.splitlines()[1:] == ["0.5,4.0,-15.749999999999998,-31.499999999999996,6.75,"
+                                        "64.5,32.25",
+                                        "1.0,1.0,0.0,0.0,0.0,3.0,3.0",
+                                        "5e+199,nan,nan,nan,nan,nan,nan",
+                                        "1e+200,nan,nan,nan,nan,nan,nan"]
     else:
         assert out.splitlines()[3:] == ["5e+199,1.414213562373095e-100,inf,inf,inf,inf,inf",
                                         "1e+200,1e-100,inf,inf,inf,inf,inf"]
@@ -469,6 +481,19 @@ def test_nonfinite_states_fail_after_output(capsys, tmp_path, command):
         assert np.all(np.isfinite(rows[:30])) and np.all(np.isnan(rows[30:]))
         np.testing.assert_allclose(table.lambda_lateral[:30],
                                    table.lambda1[:30] ** (-0.98 / 0.51), rtol=1e-9)
+
+
+@pytest.mark.parametrize("command", ["sweep", "moduli", "check", "scan", "rate-verify"])
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    # data/golden/help-<command>.txt were written at commit f691732, where
+    # every model flag had its own add_argument call; the flags built from
+    # materials.PARAMETER_NAMES must print the same help, byte for byte
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    golden = Path(__file__).parent / "data" / "golden" / f"help-{command}.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 SHARED_PARSER_ARGV = [

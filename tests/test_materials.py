@@ -60,9 +60,10 @@ def test_instantiate_catalog():
 
 
 def test_instantiate_rejects_mixed_parameterization():
-    with pytest.raises(ConfigurationError):
+    # a mix is named as such, not as a stray parameter of the first set
+    with pytest.raises(ConfigurationError, match="give exactly one of"):
         instantiate_model("quadratic_hencky", {"mu": 1, "lambda_lame": 1, "E": 1, "nu": 0.3})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="give exactly one of"):
         instantiate_model("neo_hooke_incompressible", {"mu": 1, "E": 3})
 
 
@@ -77,6 +78,79 @@ def test_instantiate_rejects_bad_values():
         instantiate_model("quadratic_hencky", {"mu": 1, "lambda_lame": 1, "zeta": 3})
     with pytest.raises(ConfigurationError):
         instantiate_model("exp_hencky", {"mu": 1, "lambda_lame": 1, "k": 1})
+
+
+# The catalog table of the README: per kind, the parameterizations of which a
+# map gives exactly one, and the parameters every one of them also needs.  A
+# map is accepted exactly when it holds one parameterization, the extras and
+# nothing else.
+README_CATALOG = {
+    "exp_hencky": ([{"mu", "lambda_lame"}, {"E", "nu"}], {"k", "khat"}),
+    "quadratic_hencky": ([{"mu", "lambda_lame"}, {"E", "nu"}], set()),
+    "neo_hooke_vol_iso": ([{"mu", "kappa"}, {"E", "nu"}, {"mu", "lambda_lame"}], set()),
+    "neo_hooke_incompressible": ([{"mu"}, {"E"}], set()),
+    "quadratic_hencky_incompressible": ([{"mu"}, {"E"}], set()),
+    "exp_hencky_incompressible": ([{"mu"}, {"E"}], {"k"}),
+}
+CATALOG_CLASSES = {
+    "exp_hencky": mat.ExponentiatedHencky,
+    "quadratic_hencky": mat.QuadraticHencky,
+    "neo_hooke_vol_iso": mat.NeoHookeVolIso,
+    "neo_hooke_incompressible": mat.NeoHookeIncompressible,
+    "quadratic_hencky_incompressible": mat.QuadraticHenckyIncompressible,
+    "exp_hencky_incompressible": mat.ExponentiatedHenckyIncompressible,
+}
+# one valid value per name; zeta is no parameter of any kind
+MAP_VALUES = {"mu": 1.0, "lambda_lame": 2.0, "E": 2.5, "nu": 0.3, "k": 1.0, "khat": 1.5,
+              "kappa": 3.0, "zeta": 4.0}
+
+
+def follows_readme_rule(kind, keys):
+    if kind not in README_CATALOG:
+        return False
+    sets, extras = README_CATALOG[kind]
+    given = [names for names in sets if names <= keys]
+    return len(given) == 1 and keys == given[0] | extras
+
+
+def implied_parameters(kind, p):
+    """``parameters()`` of the model an accepted map ``p`` gives: (E, nu) ->
+    (mu, lambda) by the small-strain relations, E -> mu = E / 3 on J = 1, and
+    kappa = lambda + 2 mu / 3 for the Neo-Hooke split."""
+    if {"E", "nu"} <= p.keys():
+        E, nu = p["E"], p["nu"]
+        mu, lam = E / (2.0 * (1.0 + nu)), E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    else:
+        mu, lam = (p["mu"] if "mu" in p else p["E"] / 3.0), p.get("lambda_lame")
+    if kind == "neo_hooke_vol_iso":
+        base = {"mu": mu, "kappa": p["kappa"] if "kappa" in p else lam + 2.0 * mu / 3.0}
+    elif kind.endswith("_incompressible"):
+        base = {"mu": mu}
+    else:
+        base = {"mu": mu, "lambda_lame": lam}
+    return {**base, **{name: p[name] for name in README_CATALOG[kind][1]}}
+
+
+def test_every_parameter_map_follows_the_catalog_rule():
+    # each kind and an unknown one, times every subset of the parameter names
+    # and zeta: 7 * 2^8 = 1,792 maps, of which the README's rule accepts 13
+    assert mat.PARAMETER_NAMES == tuple(MAP_VALUES)[:-1]
+    accepted = 0
+    for kind in [*README_CATALOG, "no_such_kind"]:
+        for r in range(len(MAP_VALUES) + 1):
+            for keys in itertools.combinations(MAP_VALUES, r):
+                p = {name: MAP_VALUES[name] for name in keys}
+                if not follows_readme_rule(kind, set(keys)):
+                    with pytest.raises(ConfigurationError):
+                        instantiate_model(kind, p)
+                    continue
+                accepted += 1
+                m = instantiate_model(kind, p)
+                assert type(m) is CATALOG_CLASSES[kind]
+                want = implied_parameters(kind, p)
+                assert m.parameters().keys() == want.keys()
+                assert m.parameters() == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert accepted == 13
 
 
 def test_neo_hooke_parameterizations_agree():
