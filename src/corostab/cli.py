@@ -139,7 +139,12 @@ def resolve_model(args):
         if "kind" not in cfg:
             raise ConfigurationError("config file is missing the 'kind' key")
         kind = kind or cfg["kind"]
-        params.update(cfg.get("parameters", {}))
+        file_params = cfg.get("parameters", {})
+        if not isinstance(file_params, dict):
+            raise ConfigurationError(
+                f"config 'parameters' must map names to numbers, got {file_params!r}"
+            )
+        params.update(file_params)
         if "incompressible" in cfg:
             flagged = bool(cfg["incompressible"])
             if flagged != kind.endswith("_incompressible"):

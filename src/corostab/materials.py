@@ -27,7 +27,8 @@ does not affect any stress.
 """
 
 from dataclasses import dataclass
-from typing import ClassVar, Mapping
+from collections.abc import Mapping
+from typing import ClassVar
 
 import numpy as np
 
@@ -530,11 +531,23 @@ def instantiate_model(kind: str, parameters: Mapping[str, float]) -> MaterialMod
     also (mu, kappa); incompressible kinds: mu or E = 3 mu), the parameters
     the kind also needs (k and khat for exp_hencky, k for
     exp_hencky_incompressible) and nothing else.  Any other map, an unknown
-    kind or a value outside a model's constraints is a ConfigurationError.
+    kind, a value that is not a number or one outside a model's constraints
+    is a ConfigurationError.
     """
-    params = {k: float(v) for k, v in dict(parameters).items()}
     if kind not in _CATALOG:
         raise ConfigurationError(f"unknown model kind '{kind}' (known: {', '.join(MODEL_KINDS)})")
+    if not isinstance(parameters, Mapping):
+        raise ConfigurationError(
+            f"model '{kind}': parameters must map names to numbers, got {parameters!r}"
+        )
+    params = {}
+    for name, value in parameters.items():
+        try:
+            params[name] = float(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"model '{kind}': parameter '{name}' must be a number, got {value!r}"
+            ) from None
     sets, extras, build = _CATALOG[kind]
     given = [names for names in sets if params.keys() >= set(names)]
     if len(given) != 1:

@@ -225,7 +225,10 @@ def _normal_eigenvalues(N, k):
     phi = 0.5 * np.arctan2(2.0 * r, p - q)  # a_2 has the eigenvector (cos phi, sin phi)
     b0, b1, d = N[..., 0, 2], N[..., 1, 2], N[..., 2, 2]
     cos, sin = np.cos(phi), np.sin(phi)
-    beta1, beta2 = ((cos * b1 - sin * b0) ** 2)[..., None], ((cos * b0 + sin * b1) ** 2)[..., None]
+    # squares as products: a lone state's entries are numpy scalars, whose
+    # ** 2 calls the C pow and can round apart from the batch's square
+    beta1, beta2 = cos * b1 - sin * b0, cos * b0 + sin * b1
+    beta1, beta2 = (beta1 * beta1)[..., None], (beta2 * beta2)[..., None]
     norm_b = np.hypot(b0, b1)[..., None]
     diag = np.sort(np.stack([a[..., 0], a[..., 1], d], axis=-1), axis=-1)
     inf = np.full(d.shape, np.inf)
@@ -235,15 +238,21 @@ def _normal_eigenvalues(N, k):
     a1, a2, d = a[..., :1], a[..., 1:], d[..., None]
     width = hi - lo
     parts = np.arange(1.0, 16.0).reshape((15,) + (1,) * lo.ndim)  # on a leading axis
+    # the 15 inner points of every pass, in work arrays allocated once
+    mid, term, rest = (np.empty(parts.shape[:1] + lo.shape) for _ in range(3))
+    ahead = np.empty(mid.shape, dtype=bool)
     # the bracket is [lo, lo + width]; a point can land on a pole only
     # within an ulp of it, where the term is +-inf, or NaN when its beta is
     # 0, and either way the bracket keeps the root to that ulp
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(np.finfo(float).nmant // 4):
             width = width / 16.0
-            mid = lo + width * parts
-            ahead = d - mid > beta1 / (a1 - mid) + beta2 / (a2 - mid)  # f(mid) > 0
-            lo = np.where(ahead, mid, lo).max(axis=0)
+            np.add(lo, np.multiply(width, parts, out=mid), out=mid)
+            np.divide(beta1, np.subtract(a1, mid, out=term), out=term)
+            np.add(term, np.divide(beta2, np.subtract(a2, mid, out=rest), out=rest), out=term)
+            np.greater(np.subtract(d, mid, out=rest), term, out=ahead)  # f(mid) > 0
+            np.copyto(mid, lo, where=np.logical_not(ahead, out=ahead))
+            np.max(mid, axis=0, out=lo)
     return lo + 0.5 * width
 
 
@@ -368,44 +377,77 @@ def be_te_check(model, state: StretchState) -> BeTeResult:
 
 # --- rank-one (Legendre-Hadamard) minimum ----------------------------------------
 
-# Sign vectors s, up to an overall sign; the products s_i s_j run over the
-# four sign triples (sigma_01, sigma_12, sigma_20) whose product is +1.
+# Sign vectors s, up to an overall sign, and their products s_i s_j over
+# _SHEAR_PAIRS: the four sign triples (sigma_01, sigma_12, sigma_20) whose
+# product is +1.  An edge of the simplex reads s only through its sigma_ij.
 _SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
+_NEXT = [j for _, j in _SHEAR_PAIRS]  # pair k of _SHEAR_PAIRS is (k, _NEXT[k])
+_PAIR_SIGNS = _SIGNS * _SIGNS[:, _NEXT]
+_EDGE_SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _simplex_candidates(M, kappa, u):
-    """Points (..., 7, 3) of the unit simplex {v >= 0, sum v = 1} among which
-    v^T M_s v, M_s = M + kappa u u^T, attains its minimum: the vertices, the
-    stationary point of each edge (clipped to it) and the interior one,
-    proportional to adj(M_s) 1, when it lies inside.  A minimum that is not
-    isolated extends to the boundary of its face, so they always contain one.
-    M_s is never formed, as kappa may exceed M by twenty orders of magnitude:
-    the edge points are ratios of sums of the two parts, and adj(M_s) =
-    adj(M) + kappa [u]x M [u]x^T for 3x3 matrices."""
-    # the points do not depend on the scale of M_s; unit scale keeps adj finite
-    uu = u * u  # its max written out: np.max along a length-3 axis is slower
-    scale = np.maximum(np.max(np.abs(M), axis=(-2, -1), initial=np.finfo(float).tiny),
-                       np.abs(kappa) * np.maximum(np.maximum(uu[..., 0], uu[..., 1]), uu[..., 2]))
-    M, kappa = M / scale[..., None, None], kappa / scale
-    eye = np.eye(3)
-    points = [np.broadcast_to(eye[i], u.shape) for i in range(3)]
-    for i, j in _SHEAR_PAIRS:
-        du = u[..., i] - u[..., j]
-        curv = M[..., i, i] - 2.0 * M[..., i, j] + M[..., j, j] + kappa * du * du
-        convex = curv > 0.0
-        t = (M[..., i, i] - M[..., i, j] + kappa * u[..., i] * du) / np.where(convex, curv, 1.0)
-        p = np.zeros(u.shape)
-        p[..., j] = np.clip(np.where(convex, t, 0.0), 0.0, 1.0)
-        p[..., i] = 1.0 - p[..., j]
-        points.append(p)
-    r0, r1, r2 = M[..., 0, :], M[..., 1, :], M[..., 2, :]
-    w = np.cross(r1, r2) + np.cross(r2, r0) + np.cross(r0, r1)  # adj(M) 1
-    m = np.einsum("...ij,...j->...i", M, np.cross(np.ones(3), u))  # M [u]x^T 1
-    w = w + kappa[..., None] * np.cross(u, m)
-    total = np.sum(w, axis=-1, keepdims=True)
-    inside = np.all(w * total > 0.0, axis=-1, keepdims=True)
-    points.append(np.where(inside, w / np.where(inside, total, 1.0), eye[0]))
-    return np.stack(points, axis=-2)
+def _simplex_candidates(diag, moduli, coupling, kappa, r):
+    """Candidate values of v^T M_s v over the unit simplex {v >= 0, sum v = 1}
+    whose least is its minimum over all four s, M_s = M_iso,s + kappa u_s
+    u_s^T with u_s = s r: M_iso,s has the diagonal ``diag`` (..., 3) and the
+    off-diagonal entries moduli + s_i s_j coupling of the pairs 01, 12, 20.
+
+    Returns the values (..., 13) -- the vertices e_i, the same for every s;
+    the stationary point of each edge (clipped to it), which reads s only
+    through sigma = s_i s_j, for sigma = +1 then -1; and the interior one of
+    each s, proportional to adj(M_s) 1, or +inf when it lies outside -- with
+    the edge parameters t (..., 2, 3), the point (1 - t) e_i + t e_j, and the
+    interior points (..., 4, 3).  A minimum that is not isolated extends to
+    the boundary of its face, so they always contain one.
+
+    Every value is v^T M_iso,s v + kappa (u_s . v)^2 written out over the six
+    entries; M_s is never formed, as kappa may exceed M_iso,s by twenty
+    orders of magnitude: the edge points are ratios of sums of the two
+    parts, and adj(M_s) = adj(M_iso,s) + kappa [u]x M_iso,s [u]x^T for 3x3
+    matrices."""
+    k2 = kappa[..., None, None]
+    vertex = diag + kappa[..., None] * r * r
+    # the edge of pair (i, j) and sign sigma, from e_i (t = 0) to e_j
+    off = moduli[..., None, :] + _EDGE_SIGNS * coupling[..., None, :]
+    ri, sr = r[..., None, :], _EDGE_SIGNS * r[..., None, _NEXT]  # u_i, u_j up to s_i
+    di, dj = diag[..., None, :], diag[..., None, _NEXT]
+    du = ri - sr
+    curv = di - 2.0 * off + dj + k2 * du * du
+    convex = curv > 0.0
+    t = (di - off + k2 * ri * du) / np.where(convex, curv, 1.0)
+    t = np.minimum(np.maximum(np.where(convex, t, 0.0), 0.0), 1.0)
+    ti = 1.0 - t
+    along = ti * ri + t * sr
+    edge = di * ti * ti + 2.0 * off * ti * t + dj * t * t + k2 * along * along
+    # the interior point of each s, from the entries at unit scale, where
+    # the adjugate's products stay finite; v does not depend on the scale
+    a, b, c = (diag[..., k:k + 1] for k in range(3))
+    f, d, e = (moduli[..., None, k] + _PAIR_SIGNS[:, k] * coupling[..., None, k] for k in range(3))
+    u0, u1, u2 = (_SIGNS[:, k] * r[..., None, k] for k in range(3))
+    rr = r * r  # its max written out: np.max along a length-3 axis is slower
+    scale = np.maximum(
+        np.maximum(np.max(np.abs(diag), axis=-1, initial=np.finfo(float).tiny),
+                   np.max(np.abs(moduli) + np.abs(coupling), axis=-1)),
+        np.abs(kappa) * np.maximum(np.maximum(rr[..., 0], rr[..., 1]), rr[..., 2]))
+    q = (1.0 / scale)[..., None]
+    sa, sb, sc, sf, sd, se, sk = a * q, b * q, c * q, f * q, d * q, e * q, kappa[..., None] * q
+    # adj(M) 1 from the cofactors, plus kappa u x (M (1 x u))
+    adj01, adj02, adj12 = sd * se - sc * sf, sf * sd - sb * se, se * sf - sa * sd
+    g0, g1, g2 = u2 - u1, u0 - u2, u1 - u0
+    m0, m1, m2 = sa * g0 + sf * g1 + se * g2, sf * g0 + sb * g1 + sd * g2, se * g0 + sd * g1 + sc * g2
+    w0 = sb * sc - sd * sd + adj01 + adj02 + sk * (u1 * m2 - u2 * m1)
+    w1 = adj01 + (sc * sa - se * se) + adj12 + sk * (u2 * m0 - u0 * m2)
+    w2 = adj02 + adj12 + (sa * sb - sf * sf) + sk * (u0 * m1 - u1 * m0)
+    total = w0 + w1 + w2
+    inside = (w0 * total > 0.0) & (w1 * total > 0.0) & (w2 * total > 0.0)
+    total = np.where(inside, total, 1.0)
+    v0, v1, v2 = w0 / total, w1 / total, w2 / total
+    along = u0 * v0 + u1 * v1 + u2 * v2
+    inner = (a * v0 * v0 + b * v1 * v1 + c * v2 * v2 + 2.0 * (f * v0 * v1 + d * v1 * v2 + e * v2 * v0)
+             + kappa[..., None] * along * along)
+    inner = np.where(inside, inner, np.inf)
+    values = np.concatenate([vertex, edge.reshape(edge.shape[:-2] + (6,)), inner], axis=-1)
+    return values, t, np.stack([v0, v1, v2], axis=-1)
 
 
 def _rank_one_candidates(lams, x, tau, H, kappa, shear):
@@ -414,8 +456,9 @@ def _rank_one_candidates(lams, x, tau, H, kappa, shear):
     unit xi, eta, from what ``principal_block`` evaluated at stretches lams
     (..., 3), x = log(lams): tau and H, ghat_grad and ghat_hess less their
     volumetric terms, kappa = c - v and the shear scalars.  Returns the
-    values (..., 31), seven simplex candidates per sign vector s and the
-    shear moduli of ``_SHEAR_PAIRS``, and the simplex points (..., 4, 7, 3).
+    values (..., 16), the 13 simplex candidates of ``_simplex_candidates``
+    and the shear moduli of ``_SHEAR_PAIRS``, with its edge parameters and
+    interior points.
 
     With the stretch derivatives W_i = g_i / lambda_i and W_ij = (H_ij -
     delta_ij g_i) / (lambda_i lambda_j), A has the principal entries
@@ -432,22 +475,19 @@ def _rank_one_candidates(lams, x, tau, H, kappa, shear):
     W_ii on the diagonal and s_i s_j c_ij + A_ijij off it (xi_i = s_i
     sqrt(v_i), eta_i = sqrt(v_i)).  The volumetric terms of M_s make up
     kappa u_s u_s^T, u_s = s / lambda, so v^T M_s v = v^T M_iso,s v +
-    kappa (u_s . v)^2.
+    kappa (u_s . v)^2.  Only the six entries of each M_iso,s are formed:
+    the diagonal (H_ii - tau_i) / lambda_i^2, shared by the four s, and the
+    off-diagonal A_ijij + s_i s_j c_ij, c_ij from the isochoric parts tau
+    and H (``coupling``).
     """
     i, j = np.transpose(_SHEAR_PAIRS)
     li, lj, dx = lams[..., i], lams[..., j], x[..., i] - x[..., j]
     ratio = np.divide(dx, np.sinh(dx), out=np.ones(dx.shape), where=dx != 0.0)  # dx / sinh(dx)
     moduli = 0.5 * lams[..., 3 - i - j] * shear * ratio  # A_ijij
     coupling = H[..., i, j] / (li * lj) + moduli - (tau[..., i] / li + tau[..., j] / lj) / (li + lj)
-    M = np.zeros(lams.shape[:-1] + (4, 3, 3))  # M_iso,s
-    signs = _SIGNS[:, i] * _SIGNS[:, j]
-    M[..., i, j] = M[..., j, i] = moduli[..., None, :] + signs * coupling[..., None, :]
-    M[..., [0, 1, 2], [0, 1, 2]] = ((H[..., [0, 1, 2], [0, 1, 2]] - tau) / lams**2)[..., None, :]
-    u, kappa = _SIGNS / lams[..., None, :], kappa[..., None]  # (..., 4, 3), (..., 1)
-    v = _simplex_candidates(M, kappa, u)  # (..., 4, 7, 3)
-    along = np.einsum("...kj,...j->...k", v, u)
-    values = np.einsum("...ki,...ij,...kj->...k", v, M, v) + kappa[..., None] * along * along
-    return np.concatenate([values.reshape(lams.shape[:-1] + (28,)), moduli], axis=-1), v
+    diag = (np.diagonal(H, axis1=-2, axis2=-1) - tau) / lams**2
+    values, t, v = _simplex_candidates(diag, moduli, coupling, kappa, 1.0 / lams)
+    return np.concatenate([values, moduli], axis=-1), t, v
 
 
 def lh_ellipticity_probe(model, state) -> ProbeResult:
@@ -473,13 +513,22 @@ def lh_ellipticity_probe(model, state) -> ProbeResult:
         U, lams, Vt = np.linalg.svd(F)
     else:
         raise DomainError("deformation gradient must have positive determinant")
-    values, v = _principal_block(model, lams)[1]
+    values, t, v = _principal_block(model, lams)[1]
     k = int(np.argmin(values))
-    if k < 28:  # a simplex point v of the sign vector s: xi = s sqrt(v), eta = sqrt(v)
-        eta = np.sqrt(v.reshape(28, 3)[k])
-        xi = _SIGNS[k // 7] * eta
+    if k < 3:  # a vertex e_k, the same for every sign vector s
+        s, v = _SIGNS[0], np.eye(3)[k]
+    elif k < 9:  # the point (1 - t) e_i + t e_j of an edge, any s with s_i s_j = sigma
+        n, pair = divmod(k - 3, 3)
+        i, j = _SHEAR_PAIRS[pair]
+        s, v = np.ones(3), np.zeros(3)
+        s[j], v[i], v[j] = _EDGE_SIGNS[n, 0], 1.0 - t[n, pair], t[n, pair]
+    elif k < 13:  # the interior point of the sign vector s
+        s, v = _SIGNS[k - 9], v[k - 9]
+    if k < 13:  # a simplex point v of the sign vector s: xi = s sqrt(v), eta = sqrt(v)
+        eta = np.sqrt(v)
+        xi = s * eta
     else:  # an axis pair xi = e_i, eta = e_j
-        xi, eta = np.eye(3)[list(_SHEAR_PAIRS[k - 28])]
+        xi, eta = np.eye(3)[list(_SHEAR_PAIRS[k - 13])]
     return ProbeResult(value=float(values[k]), xi=U @ xi, eta=Vt.T @ eta)
 
 

@@ -200,6 +200,22 @@ def test_malformed_config(tmp_path, capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("parameters,named", [
+    ({"E": "abc", "nu": 0.3}, "'E'"),
+    ({"E": 1.0, "nu": None}, "'nu'"),
+    ([1, 2], "'parameters'"),
+], ids=["text", "null", "list"])
+def test_config_parameters_must_be_numbers(tmp_path, capsys, parameters, named):
+    # one error line naming the parameter, not a ValueError or TypeError traceback
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"kind": "quadratic_hencky", "parameters": parameters}))
+    code, out, err = run_cli(capsys, "moduli", "--config", str(cfg), "--protocol", "uniaxial",
+                             "--at", "1.0")
+    assert (code, out) == (1, "")
+    assert err.startswith("corostab: error:") and err.count("\n") == 1
+    assert named in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "sweep", "--protocol", "uniaxial", "--grid", "0.5:2:5")
     assert code == 1 and "no model" in err

@@ -37,8 +37,34 @@ rows: exp_hencky equibiaxial at lambda1 = 3 and neo_hooke_vol_iso planar at
 1.4375 and 1.75.  Only those columns of those rows were rewritten; every
 moved lateral stretch, old and new, is within 1.04 ulp of the 50-digit
 mpmath root of the traction-free condition.
+
+When the rank-one stage moved onto the six entries of each copositivity
+matrix (vertices once per state, each edge once per sign of s_i s_j, values
+written out instead of einsum), 15 of the 75 ``lh`` margins of
+``quadratic_hencky-scan.json`` moved; no other byte of any file did.  With
+the 60-digit Simpson-Spector minimum in brackets, per state (old -> new):
+
+* [0.5, 1.75, 3.0], [1.75, 3.0, 0.5], [3.0, 0.5, 1.75]:
+  -0.015490154696190602 -> -0.015490154696190606;
+  [3.0, 1.75, 0.5]: -0.015490154696190602 -> -0.015490154696190604;
+  [0.5, 3.0, 1.75], [1.75, 0.5, 3.0]:
+  -0.015490154696190599 -> -0.015490154696190604
+  (-0.015490154696190587093);
+* [0.5, 3.0, 1.125], [1.125, 0.5, 3.0]:
+  -0.003701123613385751 -> -0.003701123613385744;
+  [3.0, 1.125, 0.5]: -0.003701123613385749 -> -0.003701123613385744;
+  [3.0, 0.5, 1.125]: -0.0037011236133857473 -> -0.0037011236133857456
+  (-0.0037011236133857375332);
+* [0.5, 3.0, 2.375], [2.375, 0.5, 3.0], [3.0, 2.375, 0.5]:
+  -0.027622462200134222 -> -0.027622462200134215 (-0.027622462200134195049);
+* [1.125, 3.0, 3.0], [3.0, 1.125, 3.0]:
+  -0.10049093270106994 -> -0.10049093270106993 (-0.10049093270106989058).
+
+The largest change is 1.9e-15 relative; the old values are within 3.6e-15
+of the reference, the new ones within 2.2e-15.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +85,37 @@ CASES = [
 ]
 
 N_EXACT = 5  # lambda1, lambda_lateral, stress_driving, stress_biot, energy
+
+
+def _first_difference(got, want, path="$"):
+    """The first key path, in the order of ``want``, at which two parsed JSON
+    values differ, with both values; None if they are the same."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in [*want, *(k for k in got if k not in want)]:
+            if key not in got or key not in want:
+                return f"{path}.{key}: got {got.get(key, '<absent>')!r}, want {want.get(key, '<absent>')!r}"
+            found = _first_difference(got[key], want[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(got, list) and isinstance(want, list):
+        for n, (g, w) in enumerate(zip(got, want)):
+            found = _first_difference(g, w, f"{path}[{n}]")
+            if found:
+                return found
+        return None if len(got) == len(want) else f"{path}: got {len(got)} items, want {len(want)}"
+    return None if repr(got) == repr(want) else f"{path}: got {got!r}, want {want!r}"
+
+
+def _assert_same_json_bytes(got, want):
+    """Byte equality of two JSON-lines files; a failure names the first
+    differing key path and both values."""
+    if got != want:
+        lines = zip(got.decode().splitlines(), want.decode().splitlines())
+        found = next((f"line {n}: {d}" for n, (g, w) in enumerate(lines, 1)
+                      if (d := _first_difference(json.loads(g), json.loads(w)))), None)
+        offset = next(n for n, (g, w) in enumerate(zip(got + b"\0", want + b"\1")) if g != w)
+        pytest.fail(found or f"bytes differ from offset {offset}")
 
 
 @pytest.mark.parametrize("kind,params,protocol,lo,hi", CASES, ids=[c[0] for c in CASES])
@@ -86,7 +143,7 @@ def test_state_json_matches_golden(kind, params, protocol, lo, hi, command, at, 
     argv = [command, "--model", kind, *params, "--protocol", protocol, "--at", at,
             "--out", str(out)]
     assert main(argv) == 0
-    assert out.read_bytes() == (GOLDEN / f"{kind}-{protocol}-{command}.json").read_bytes()
+    _assert_same_json_bytes(out.read_bytes(), (GOLDEN / f"{kind}-{protocol}-{command}.json").read_bytes())
 
 
 @pytest.mark.parametrize("kind,params,protocol,lo,hi", CASES, ids=[c[0] for c in CASES])
@@ -95,5 +152,5 @@ def test_scan_summary_matches_golden(kind, params, protocol, lo, hi, tmp_path):
     argv = ["scan", "--model", kind, *params, "--grid", "0.5:3:5", "--pairs", "16",
             "--out", str(out)]
     assert main(argv) == 0
-    got = (tmp_path / "scan.json").read_bytes()
-    assert got == (GOLDEN / f"{kind}-scan.json").read_bytes()
+    _assert_same_json_bytes((tmp_path / "scan.json").read_bytes(),
+                            (GOLDEN / f"{kind}-scan.json").read_bytes())

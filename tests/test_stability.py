@@ -542,6 +542,77 @@ def test_probe_is_the_block_minimum(catalog, kind):
         assert lh_ellipticity_probe(m, st.as_array()).value == lh
 
 
+def _state_samples(seed):
+    """The 13^3 scan grid, then random states with two or three coincident
+    stretches among them, in random order."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.5, 1.5, size=(300, 3))
+    x[::2, 1] = x[::2, 0]
+    x[::5, 2] = x[::5, 1]
+    return np.concatenate([stab._grid_states((0.5, 3.0, 13))[1], rng.permuted(np.exp(x), axis=1)])
+
+
+@pytest.mark.parametrize("kind", list(CATALOG_PARAMS))
+def test_state_alone_is_its_batch_row(catalog, kind):
+    # ``check`` evaluates its state alone, ``scan`` a grid: every field of
+    # the block must be the same bits either way
+    m = catalog[kind]
+    states = _state_samples(48)
+    batch = stab.principal_block(m, states)
+    for n, lams in enumerate(states):
+        alone = stab.principal_block(m, lams)
+        for name in ("normal", "shear", "csp", "be", "te", "lh"):
+            assert getattr(alone, name).tobytes() == getattr(batch, name)[n].tobytes(), (name, lams)
+
+
+def _normal_eigenvalues_per_pass(N, k):
+    """``stability._normal_eigenvalues`` as written with fresh arrays in
+    every pass, the reference for its work arrays.  Its squares are products;
+    on arrays the former ``** 2`` is the same square."""
+    p, q, r = N[..., 0, 0], N[..., 1, 1], N[..., 0, 1]
+    mean, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), r)
+    a = np.stack([mean - radius, mean + radius], axis=-1)
+    phi = 0.5 * np.arctan2(2.0 * r, p - q)
+    b0, b1, d = N[..., 0, 2], N[..., 1, 2], N[..., 2, 2]
+    cos, sin = np.cos(phi), np.sin(phi)
+    beta1, beta2 = cos * b1 - sin * b0, cos * b0 + sin * b1
+    beta1, beta2 = (beta1 * beta1)[..., None], (beta2 * beta2)[..., None]
+    norm_b = np.hypot(b0, b1)[..., None]
+    diag = np.sort(np.stack([a[..., 0], a[..., 1], d], axis=-1), axis=-1)
+    inf = np.full(d.shape, np.inf)
+    lo = np.maximum(diag - norm_b, np.stack([-inf, a[..., 0], a[..., 1]], axis=-1))[..., :k]
+    hi = np.minimum(diag + norm_b, np.stack([a[..., 0], a[..., 1], inf], axis=-1))[..., :k]
+    hi[..., 0] = diag[..., 0]
+    a1, a2, d = a[..., :1], a[..., 1:], d[..., None]
+    width = hi - lo
+    parts = np.arange(1.0, 16.0).reshape((15,) + (1,) * lo.ndim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(13):
+            width = width / 16.0
+            mid = lo + width * parts
+            ahead = d - mid > beta1 / (a1 - mid) + beta2 / (a2 - mid)
+            lo = np.where(ahead, mid, lo).max(axis=0)
+    return lo + 0.5 * width
+
+
+def test_normal_eigenvalues_work_arrays_keep_the_bits(catalog):
+    # random blocks (a vol-vol entry up to 1e20 times the rest, zero
+    # couplings, coincident dev-dev poles) and the 13^3 scan blocks
+    rng = np.random.default_rng(49)
+    N = rng.standard_normal((5000, 3, 3))
+    N = N + np.swapaxes(N, -1, -2)
+    N[::5, 2, 2] *= 1e20
+    N[::7, 0, 2] = N[::7, 2, 0] = 0.0
+    N[::11, 0, 1] = N[::11, 1, 0] = 0.0
+    N[::13, 1, 1] = N[::13, 0, 0]
+    blocks = [N, stab.principal_block(catalog["exp_hencky"], _state_samples(50)).normal]
+    for block in blocks:
+        for k in (1, 2, 3):
+            got = stab._normal_eigenvalues(block, k)
+            assert got.tobytes() == _normal_eigenvalues_per_pass(block, k).tobytes()
+            assert stab._normal_eigenvalues(block[7], k).tobytes() == got[7].tobytes()
+
+
 def test_probe_rejects_inverted_deformation(catalog):
     with pytest.raises(DomainError):
         lh_ellipticity_probe(catalog["exp_hencky"], np.diag([1.0, 1.0, -1.0]))
