@@ -307,8 +307,10 @@ class NeoHookeVolIso(MaterialModel):
         b = np.exp(2.0 * x)
         s = np.sum(x, axis=-1)
         iso = 0.5 * self.mu * (np.sum(b, axis=-1) * np.exp(-2.0 * s / 3.0) - 3.0)
-        J = np.exp(s)
-        return iso + 0.5 * self.kappa * (J - 1.0) ** 2
+        dJ = np.exp(s) - 1.0
+        # a product: on a lone state dJ is a numpy scalar, whose ** 2 calls the
+        # C pow and can round apart from the batch's square
+        return iso + 0.5 * self.kappa * (dJ * dJ)
 
     def ghat_grad_split(self, x):
         x = np.asarray(x, dtype=float)

@@ -51,7 +51,7 @@ witnessed only below -1e-7.
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,6 +85,10 @@ WITNESS_MARGIN = -1e-7
 # the third derivative of s (2e-12 of it at the threshold).  The rank-one shear
 # moduli A_ijij are read off these entries (``_rank_one_candidates``).
 _COINCIDENT = 1e-6
+
+# the checks of one state (margins of ``PrincipalBlock``) and of a state pair
+_POINT_CHECKS = ("csp", "be", "te", "lh")
+_PAIR_CHECKS = ("tsts_m_plus", "hill")
 
 # the shear scalars are ordered like basis6 slots 3, 4, 5: pairs 12, 23, 31
 _SHEAR_PAIRS = ((0, 1), (1, 2), (2, 0))
@@ -143,7 +147,7 @@ class PrincipalBlock:
     def witnessed(self):
         """Margin name -> where the state witnesses a violation (a margin
         below WITNESS_MARGIN; NaN never does), in the order csp, be, te, lh."""
-        return {name: getattr(self, name) < WITNESS_MARGIN for name in ("csp", "be", "te", "lh")}
+        return {name: getattr(self, name) < WITNESS_MARGIN for name in _POINT_CHECKS}
 
 
 def _normal_components(v):
@@ -544,7 +548,8 @@ _SCAN_CSV_HEADER = (
 class StabilityReport:
     """Per-state stability margins on a stretch grid plus sampled two-point
     checks.  ``lh_min`` is the exact rank-one minimum (NaN for incompressible
-    models).  Violation witnesses re-evaluate as violations when replayed."""
+    models).  Violation witnesses re-evaluate as violations when replayed;
+    ``counts`` maps every check name to its number of violations."""
 
     model_kind: str
     parameters: dict
@@ -559,12 +564,15 @@ class StabilityReport:
     tsts_m_plus_ok: np.ndarray
     hill_ok: np.ndarray
     pair_indices: np.ndarray
-    violations: list = field(default_factory=list)
+    violations: list
+    counts: dict
 
     def violation_count(self, check=None) -> int:
         if check is None:
             return len(self.violations)
-        return sum(1 for v in self.violations if v["check"] == check)
+        if check not in self.counts:
+            raise UsageError(f"unknown check '{check}'; known checks: {', '.join(self.counts)}")
+        return self.counts[check]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -596,10 +604,7 @@ class StabilityReport:
             "counts": {
                 "states": int(len(self.states)),
                 "pairs": int(len(self.pair_indices)),
-                "violations": {
-                    check: self.violation_count(check)
-                    for check in ("csp", "be", "te", "lh", "tsts_m_plus", "hill")
-                },
+                "violations": self.counts,
             },
             "violations": self.violations,
         }
@@ -625,7 +630,8 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
     the Cauchy measure and, on det-normalized states, the Kirchhoff measure;
     a pair whose value is not finite sets that column to 0 for both of its
     states and is not listed as a violation.  Deterministic for a fixed grid
-    and seed.
+    and seed.  Violations are listed by state (csp, be, te, lh), then by
+    pair in draw order (tsts_m_plus, hill).
     """
     lo, hi, n = grid
     if not (math.isfinite(lo) and math.isfinite(hi) and min(lo, hi) > 0.0):
@@ -637,55 +643,47 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
     idx, states = _grid_states(grid)
     n_states = len(states)
     x = np.log(states)
-    incomp = model.incompressible
     block = principal_block(model, states)  # grid states are diagonal
 
-    # sampled two-point checks
+    # sampled two-point checks: draw the missing pairs, drop those with
+    # a = b, repeat.  Generator.integers takes its 32-bit outputs from a buffer
+    # kept in the bit generator, so the pairs do not depend on how the draws
+    # are chunked: they are those of one size-2 draw at a time
     rng = np.random.default_rng(seed)
     n_pairs = min(pairs, n_states * (n_states - 1) // 2)
-    pair_idx = np.empty((n_pairs, 2), dtype=int)
-    k = 0
-    while k < n_pairs:
-        a, b = rng.integers(0, n_states, size=2)
-        if a != b:
-            pair_idx[k] = (a, b)
-            k += 1
+    pair_idx = np.empty((0, 2), dtype=int)
+    while len(pair_idx) < n_pairs:
+        draw = rng.integers(0, n_states, size=(n_pairs - len(pair_idx), 2))
+        pair_idx = np.concatenate([pair_idx, draw[draw[:, 0] != draw[:, 1]]])
     # grid states are coaxial: P = I
     first, second = pair_idx.T
     xu = x - np.mean(x, axis=-1, keepdims=True)
     tau_u = _principal_law(model, "kirchhoff")(xu)
     hill_vals = _pair_values(tau_u[first], xu[first], tau_u[second], xu[second], np.eye(3))
-    if incomp:
+    if model.incompressible:
         tsts_vals = hill_vals
     else:
         sig = _principal_law(model, "cauchy")(x)
         tsts_vals = _pair_values(sig[first], x[first], sig[second], x[second], np.eye(3))
 
-    tsts_ok = np.ones(n_states, dtype=bool)
-    hill_ok = np.ones(n_states, dtype=bool)
-    violations = []
-    witnessed = block.witnessed()
-    for n in np.flatnonzero(np.any(list(witnessed.values()), axis=0)):
-        st = [float(v) for v in states[n]]
-        for check, bad in witnessed.items():
-            if bad[n]:
-                margin = float(getattr(block, check)[n])
-                violations.append({"check": check, "state": st, "margin": margin})
-    for k in range(n_pairs):
-        a, b = pair_idx[k]
-        for check, vals, ok in (("tsts_m_plus", tsts_vals, tsts_ok), ("hill", hill_vals, hill_ok)):
-            witness = vals[k] < WITNESS_MARGIN
-            if witness or not np.isfinite(vals[k]):  # a non-finite value is no witness
-                ok[a] = ok[b] = False
-            if witness:
-                violations.append(
-                    {
-                        "check": check,
-                        "state": [float(v) for v in states[a]],
-                        "state2": [float(v) for v in states[b]],
-                        "margin": float(vals[k]),
-                    }
-                )
+    margins = np.stack([getattr(block, check) for check in _POINT_CHECKS], axis=-1)
+    pair_margins = np.stack([tsts_vals, hill_vals], axis=-1)
+    witness, pair_witness = margins < WITNESS_MARGIN, pair_margins < WITNESS_MARGIN
+    ok = np.ones((len(_PAIR_CHECKS), n_states), dtype=bool)  # tsts_m_plus_ok, hill_ok
+    p, k = np.nonzero(pair_witness | ~np.isfinite(pair_margins))
+    ok[k[:, None], pair_idx[p]] = False
+    i, k = np.nonzero(witness)
+    violations = [
+        {"check": _POINT_CHECKS[c], "state": st, "margin": v}
+        for c, st, v in zip(k.tolist(), states[i].tolist(), margins[i, k].tolist())
+    ]
+    p, k = np.nonzero(pair_witness)
+    violations += [
+        {"check": _PAIR_CHECKS[c], "state": st, "state2": st2, "margin": v}
+        for c, (st, st2), v in zip(k.tolist(), states[pair_idx[p]].tolist(),
+                                   pair_margins[p, k].tolist())
+    ]
+    counts = witness.sum(axis=0).tolist() + pair_witness.sum(axis=0).tolist()
 
     return StabilityReport(
         model_kind=model.kind,
@@ -698,8 +696,9 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
         be_margin=block.be,
         te_margin=block.te,
         lh_min=block.lh,
-        tsts_m_plus_ok=tsts_ok,
-        hill_ok=hill_ok,
+        tsts_m_plus_ok=ok[0],
+        hill_ok=ok[1],
         pair_indices=pair_idx,
         violations=violations,
+        counts=dict(zip(_POINT_CHECKS + _PAIR_CHECKS, counts)),
     )

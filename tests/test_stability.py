@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import mpmath
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corostab import materials as mat
+from corostab import protocols as prot
 from corostab import stability as stab
 from corostab import tensor3 as t3
 from corostab.errors import DomainError, SolverError, UsageError
@@ -555,14 +557,34 @@ def _state_samples(seed):
 @pytest.mark.parametrize("kind", list(CATALOG_PARAMS))
 def test_state_alone_is_its_batch_row(catalog, kind):
     # ``check`` evaluates its state alone, ``scan`` a grid: every field of
-    # the block must be the same bits either way
+    # the block, the energy and the stress law must be the same bits either
+    # way; so must every curve column of ``check``/``moduli`` (one row) and
+    # ``sweep`` (all rows)
     m = catalog[kind]
     states = _state_samples(48)
+    x = np.log(states)
     batch = stab.principal_block(m, states)
+    ghat, energy, (s, G) = m.ghat(x), m.energy(states), m.stress_jac(x)
     for n, lams in enumerate(states):
         alone = stab.principal_block(m, lams)
         for name in ("normal", "shear", "csp", "be", "te", "lh"):
             assert getattr(alone, name).tobytes() == getattr(batch, name)[n].tobytes(), (name, lams)
+        s_n, G_n = m.stress_jac(x[n])
+        assert m.ghat(x[n]).tobytes() == ghat[n].tobytes(), lams
+        assert m.energy(lams).tobytes() == energy[n].tobytes(), lams
+        assert (s_n.tobytes(), G_n.tobytes()) == (s[n].tobytes(), G[n].tobytes()), lams
+    lam1s = np.linspace(0.4, 2.6, 12)
+    for protocol_kind in PROTOCOL_KINDS:
+        if m.incompressible and protocol_kind == "hydrostatic":  # kinematically impossible
+            continue
+        protocol = Protocol(protocol_kind)
+        closures = [lateral_closure(m, protocol, lam1) for lam1 in lam1s]
+        rows = prot._curve_rows(m, protocol, lam1s, closures)
+        for n, (lam1, closure) in enumerate(zip(lam1s, closures)):
+            row = prot._curve_rows(m, protocol, [lam1], [closure])
+            for f in dataclasses.fields(rows):
+                got, want = getattr(row, f.name), getattr(rows, f.name)[n:n + 1]
+                assert got.tobytes() == want.tobytes(), (protocol_kind, f.name, lam1)
 
 
 def _normal_eigenvalues_per_pass(N, k):
@@ -735,3 +757,115 @@ def test_region_scan_csv_and_json_schema(catalog):
     for v in payload["violations"]:
         assert v["check"] in ("csp", "be", "te", "lh", "tsts_m_plus", "hill")
         assert len(v["state"]) == 3
+
+
+def test_violation_count_names_the_known_checks(catalog):
+    rep = region_scan(catalog["quadratic_hencky"], grid=(0.5, 3.0, 5), seed=0)
+    assert rep.violation_count() == sum(rep.violation_count(c) for c in rep.counts)
+    with pytest.raises(UsageError, match="'cps'; known checks: csp, be, te, lh, tsts_m_plus, hill"):
+        rep.violation_count("cps")
+
+
+def _scan_by_loops(m, rep, pairs):
+    """The report ``region_scan`` gave, with its bookkeeping redone by the
+    loops it once ran: one size-2 draw per pair, redrawn when a = b; the
+    violations state by state (csp, be, te, lh), then pair by pair
+    (tsts_m_plus, hill); each count by a rescan of the list.  The margins
+    are the report's own, the pair values those of the scan's formulas."""
+    states, x = rep.states, np.log(rep.states)
+    n_states = len(states)
+    rng = np.random.default_rng(rep.seed)
+    n_pairs = min(pairs, n_states * (n_states - 1) // 2)
+    pair_idx = np.empty((n_pairs, 2), dtype=int)
+    k = 0
+    while k < n_pairs:
+        a, b = rng.integers(0, n_states, size=2)
+        if a != b:
+            pair_idx[k] = (a, b)
+            k += 1
+    first, second = pair_idx.T
+    xu = x - np.mean(x, axis=-1, keepdims=True)
+    tau_u = stab._principal_law(m, "kirchhoff")(xu)
+    hill_vals = stab._pair_values(tau_u[first], xu[first], tau_u[second], xu[second], np.eye(3))
+    if m.incompressible:
+        tsts_vals = hill_vals
+    else:
+        sig = stab._principal_law(m, "cauchy")(x)
+        tsts_vals = stab._pair_values(sig[first], x[first], sig[second], x[second], np.eye(3))
+
+    tsts_ok = np.ones(n_states, dtype=bool)
+    hill_ok = np.ones(n_states, dtype=bool)
+    violations = []
+    margins = {"csp": rep.csp_min_eig, "be": rep.be_margin, "te": rep.te_margin, "lh": rep.lh_min}
+    for n in range(n_states):
+        for check, margin in margins.items():
+            if margin[n] < stab.WITNESS_MARGIN:
+                violations.append(
+                    {"check": check, "state": [float(v) for v in states[n]], "margin": float(margin[n])}
+                )
+    for k in range(n_pairs):
+        a, b = pair_idx[k]
+        for check, vals, ok in (("tsts_m_plus", tsts_vals, tsts_ok), ("hill", hill_vals, hill_ok)):
+            witness = vals[k] < stab.WITNESS_MARGIN
+            if witness or not np.isfinite(vals[k]):
+                ok[a] = ok[b] = False
+            if witness:
+                violations.append(
+                    {
+                        "check": check,
+                        "state": [float(v) for v in states[a]],
+                        "state2": [float(v) for v in states[b]],
+                        "margin": float(vals[k]),
+                    }
+                )
+    checks = ("csp", "be", "te", "lh", "tsts_m_plus", "hill")
+    counts = {c: sum(1 for v in violations if v["check"] == c) for c in checks}
+    return dataclasses.replace(rep, tsts_m_plus_ok=tsts_ok, hill_ok=hill_ok, pair_indices=pair_idx,
+                               violations=violations, counts=counts)
+
+
+def _assert_scan_is_the_loops(m, grid, seed, pairs=128):
+    rep = region_scan(m, grid=grid, seed=seed, pairs=pairs)
+    want = _scan_by_loops(m, rep, pairs)
+    for name in ("pair_indices", "tsts_m_plus_ok", "hill_ok"):
+        got, ref = getattr(rep, name), getattr(want, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), name
+    assert rep.violations == want.violations
+    assert rep.counts == want.counts
+    assert rep.to_csv() == want.to_csv()
+    assert rep.to_json_summary() == want.to_json_summary()
+    return rep
+
+
+@pytest.mark.parametrize("kind", list(CATALOG_PARAMS))
+def test_scan_bookkeeping_is_the_loops(catalog, kind):
+    # the pair draw, the violation lists, the ok columns and the counts of
+    # region_scan against the loops, on grids of 1 to 2197 states
+    m = catalog[kind]
+    for n, seeds in ((1, [0]), (2, range(5)), (3, range(4)), (5, range(3)), (11, (0, 9)), (13, (0, 4))):
+        for seed in seeds:
+            _assert_scan_is_the_loops(m, (0.5, 3.0, n), seed)
+    _assert_scan_is_the_loops(m, (0.5, 3.0, 2), 3, pairs=10_000)  # every pair of 8 states
+    _assert_scan_is_the_loops(m, (0.5, 3.0, 11), 2, pairs=3000)
+    _assert_scan_is_the_loops(m, (0.01, 3.0, 5), 0, pairs=3000)  # pairs failing both checks
+    # Cauchy stresses (and, but for quadratic_hencky, Kirchhoff ones) overflow
+    # at the states with two stretches 1e-300: a non-finite pair value is no
+    # witness but clears its column for both states
+    with np.errstate(all="ignore"):
+        for seed in range(3):
+            rep = _assert_scan_is_the_loops(m, (1e-300, 3.0, 5), seed)
+            if kind != "quadratic_hencky_incompressible":
+                assert np.sum(~rep.tsts_m_plus_ok) > 2 * rep.violation_count("tsts_m_plus")
+
+
+def test_integer_draws_do_not_depend_on_chunking():
+    # region_scan draws its pairs in chunks: Generator.integers takes 32-bit
+    # outputs from a buffer kept in the bit generator, so one batched draw
+    # gives the values of many small ones.  At n = 2**31 + 1 about half of the
+    # bounded draws are rejected and redrawn
+    n = 2**31 + 1
+    one_by_one, batched = np.random.default_rng(11), np.random.default_rng(11)
+    singles = [one_by_one.integers(0, n) for _ in range(2001)]
+    assert np.array_equal(singles, batched.integers(0, n, size=2001))
+    pairs = [one_by_one.integers(0, n, size=2) for _ in range(1000)]
+    assert np.array_equal(pairs, batched.integers(0, n, size=(1000, 2)))
