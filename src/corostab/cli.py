@@ -32,15 +32,9 @@ import sys
 
 import numpy as np
 
-from .errors import CorostabError, ConfigurationError, DomainError, UsageError
+from .errors import CorostabError, ConfigurationError, DomainError, UsageError, check_finite
 from .materials import MODEL_KINDS, PARAMETER_NAMES, StretchState, instantiate_model
-from .protocols import (
-    PROTOCOL_KINDS,
-    Protocol,
-    _curve_rows,
-    lateral_closure,
-    sweep,
-)
+from .protocols import PROTOCOL_KINDS, Protocol, solved_state, sweep
 from .rates import (
     MotionSample,
     csp_rate_form,
@@ -189,31 +183,6 @@ def _json_line(payload):
         raise DomainError(f"non-finite value in the result {payload}") from None
 
 
-def _fail_on_nonfinite(where, name, states, *columns):
-    """A DomainError naming how many of ``states`` have a non-finite value in
-    ``columns`` and the first of them.  ``sweep`` and ``scan`` raise it after
-    writing their rows, which keep their bytes, ``check`` and ``moduli`` before."""
-    bad = ~np.all(np.isfinite(np.stack(columns, axis=-1)), axis=-1)
-    if np.any(bad):
-        raise DomainError(f"{where}{np.count_nonzero(bad)} of {bad.size} states have a non-finite "
-                          f"value, the first at {name} = {states[np.argmax(bad)].tolist()}")
-
-
-def _solved_state(model, protocol, lam1):
-    """Closure and curve row of one protocol state, checked once for range:
-    a stretch, stress, energy or modulus beyond the double range at a
-    representable stretch is a DomainError naming the state.
-
-    The commands that call this run with numpy's overflow and invalid-
-    operation warnings silenced: a stress, energy or modulus may overflow on
-    the way, and what counts is the result, checked here and, for every
-    reported number, by ``_json_line``."""
-    closure = lateral_closure(model, protocol, lam1)
-    row = _curve_rows(model, protocol, [lam1], [closure])
-    _fail_on_nonfinite(f"protocol '{protocol.kind}': ", "lambda1", row.lambda1, *vars(row).values())
-    return closure, row
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _cmd_sweep(args):
     model = resolve_model(args)
@@ -222,17 +191,15 @@ def _cmd_sweep(args):
     table = sweep(model, protocol, lam_min, lam_max, steps, with_moduli=not args.no_moduli)
     _emit(table.to_csv(), args.out)
     moduli = [] if args.no_moduli else [table.modulus_incr, table.modulus_incr_log]
-    _fail_on_nonfinite(f"protocol '{protocol.kind}': ", "lambda1", table.lambda1,
-                       table.lambda_lateral, table.stress_driving, table.stress_biot, table.energy,
-                       *moduli)
+    check_finite(f"protocol '{protocol.kind}': ", "lambda1", table.lambda1, table.lambda_lateral,
+                 table.stress_driving, table.stress_biot, table.energy, *moduli)
     return 0
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_moduli(args):
     model = resolve_model(args)
     protocol = Protocol(args.protocol)
-    _, row = _solved_state(model, protocol, args.at)
+    _, row = solved_state(model, protocol, args.at)
     _emit(
         _json_line(
             {
@@ -252,7 +219,7 @@ def _cmd_moduli(args):
 def _cmd_check(args):
     model = resolve_model(args)
     protocol = Protocol(args.protocol)
-    closure, row = _solved_state(model, protocol, args.at)
+    closure, row = solved_state(model, protocol, args.at)
     lams = StretchState(args.at, closure.lam2, closure.lam3).as_array()[None]  # a batch of one
     block = principal_block(model, lams)
     violations = [check for check, bad in block.witnessed().items()
@@ -299,8 +266,7 @@ def _cmd_scan(args):
         _emit(report.to_csv(), args.out)
     _emit(report.to_json_summary() + "\n", args.out and _json_out_path(args.out))
     te_lh = [] if model.incompressible else [report.te_margin, report.lh_min]  # NaN by design
-    _fail_on_nonfinite("", "stretches", report.states, report.csp_min_eig, report.be_margin,
-                       *te_lh)
+    check_finite("", "stretches", report.states, report.csp_min_eig, report.be_margin, *te_lh)
     bad = sum(report.violation_count(c) for c in _CONSTITUTIVE_CHECKS)
     if args.expect_stable and bad:
         return 2

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all corostab modules."""
+"""Exception hierarchy shared by all corostab modules, and the range check
+that reports non-finite results as a DomainError."""
+
+import numpy as np
 
 
 class CorostabError(Exception):
@@ -29,3 +32,12 @@ class SolverError(CorostabError):
     def __init__(self, message, scan=None):
         super().__init__(message)
         self.scan = scan
+
+
+def check_finite(where, name, states, *columns):
+    """Raise a DomainError naming how many of ``states`` have a non-finite
+    value in ``columns`` and the first of them."""
+    bad = ~np.all(np.isfinite(np.stack(columns, axis=-1)), axis=-1)
+    if np.any(bad):
+        raise DomainError(f"{where}{np.count_nonzero(bad)} of {bad.size} states have a non-finite "
+                          f"value, the first at {name} = {states[np.argmax(bad)].tolist()}")

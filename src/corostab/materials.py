@@ -26,7 +26,7 @@ Energies are normalized so the reference state has zero energy; the shift
 does not affect any stress.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from collections.abc import Mapping
 from typing import ClassVar
 
@@ -123,6 +123,11 @@ class MaterialModel:
     Incompressible ones provide ``ghat_grad``/``ghat_hess`` directly, plus
     ``extra_tau`` and its Jacobian ``extra_tau_jac``.  All methods
     broadcast over leading axes.
+
+    Subclasses are dataclasses whose fields are the parameters.  Every
+    scalar field is a modulus or an exponent and must be finite and > 0; an
+    ``ElasticConstants`` field checks its own rule.  ``parameters()`` and
+    ``young`` read the fields.
     """
 
     kind: ClassVar[str]
@@ -181,12 +186,24 @@ class MaterialModel:
         inv_J = np.exp(-np.sum(x, axis=-1))[..., None]
         return tau * inv_J, inv_J[..., None] * (self.ghat_hess(x) - tau[..., :, None])
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not isinstance(v, ElasticConstants) and not (np.isfinite(v) and v > 0.0):
+                raise ConfigurationError(f"violated constraint 0 < {f.name} < inf ({f.name} = {v})")
+
     def parameters(self) -> dict:
-        raise NotImplementedError
+        """The fields by name, an ElasticConstants field as mu and lambda_lame."""
+        params = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            params.update({"mu": v.mu, "lambda_lame": v.lam} if isinstance(v, ElasticConstants)
+                          else {f.name: v})
+        return params
 
     @property
     def young(self):
-        raise NotImplementedError
+        return self.constants.young
 
 
 def _eye33(x):
@@ -203,12 +220,6 @@ class ExponentiatedHencky(MaterialModel):
 
     kind: ClassVar[str] = "exp_hencky"
     incompressible: ClassVar[bool] = False
-
-    def __post_init__(self):
-        if self.k <= 0.0 or self.khat <= 0.0:
-            raise ConfigurationError(
-                f"violated constraint k, khat > 0 (k = {self.k}, khat = {self.khat})"
-            )
 
     def ghat(self, x):
         x = np.asarray(x, dtype=float)
@@ -236,18 +247,6 @@ class ExponentiatedHencky(MaterialModel):
         )
         return iso, lam * (1.0 + 2.0 * self.khat * s * s) * np.exp(self.khat * s * s)
 
-    def parameters(self):
-        return {
-            "mu": self.constants.mu,
-            "lambda_lame": self.constants.lam,
-            "k": self.k,
-            "khat": self.khat,
-        }
-
-    @property
-    def young(self):
-        return self.constants.young
-
 
 @dataclass(frozen=True)
 class QuadraticHencky(MaterialModel):
@@ -272,13 +271,6 @@ class QuadraticHencky(MaterialModel):
         x = np.asarray(x, dtype=float)
         return 2.0 * self.constants.mu * _eye33(x), np.full(x.shape[:-1], self.constants.lam)
 
-    def parameters(self):
-        return {"mu": self.constants.mu, "lambda_lame": self.constants.lam}
-
-    @property
-    def young(self):
-        return self.constants.young
-
 
 @dataclass(frozen=True)
 class NeoHookeVolIso(MaterialModel):
@@ -291,12 +283,6 @@ class NeoHookeVolIso(MaterialModel):
 
     kind: ClassVar[str] = "neo_hooke_vol_iso"
     incompressible: ClassVar[bool] = False
-
-    def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ConfigurationError(f"violated constraint mu > 0 (mu = {self.mu})")
-        if self.kappa <= 0.0:
-            raise ConfigurationError(f"violated constraint kappa > 0 (kappa = {self.kappa})")
 
     @property
     def constants(self):
@@ -337,13 +323,6 @@ class NeoHookeVolIso(MaterialModel):
         )
         return iso, self.kappa * (2.0 * J * J - J)
 
-    def parameters(self):
-        return {"mu": self.mu, "kappa": self.kappa}
-
-    @property
-    def young(self):
-        return self.constants.young
-
 
 class _IncompressibleModel(MaterialModel):
     """Extra stress t = ghat_grad with Jacobian ghat_hess unless a model
@@ -374,10 +353,6 @@ class NeoHookeIncompressible(_IncompressibleModel):
 
     kind: ClassVar[str] = "neo_hooke_incompressible"
 
-    def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ConfigurationError(f"violated constraint mu > 0 (mu = {self.mu})")
-
     def ghat(self, x):
         x = np.asarray(x, dtype=float)
         return 0.5 * self.mu * (np.sum(np.exp(2.0 * x), axis=-1) - 3.0)
@@ -392,9 +367,6 @@ class NeoHookeIncompressible(_IncompressibleModel):
         h[..., 0, 0], h[..., 1, 1], h[..., 2, 2] = b[..., 0], b[..., 1], b[..., 2]
         return h
 
-    def parameters(self):
-        return {"mu": self.mu}
-
 
 @dataclass(frozen=True)
 class QuadraticHenckyIncompressible(_IncompressibleModel):
@@ -403,10 +375,6 @@ class QuadraticHenckyIncompressible(_IncompressibleModel):
     mu: float
 
     kind: ClassVar[str] = "quadratic_hencky_incompressible"
-
-    def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ConfigurationError(f"violated constraint mu > 0 (mu = {self.mu})")
 
     def ghat(self, x):
         x = np.asarray(x, dtype=float)
@@ -418,9 +386,6 @@ class QuadraticHenckyIncompressible(_IncompressibleModel):
     def ghat_hess(self, x):
         x = np.asarray(x, dtype=float)
         return 2.0 * self.mu * _eye33(x)
-
-    def parameters(self):
-        return {"mu": self.mu}
 
 
 @dataclass(frozen=True)
@@ -438,12 +403,6 @@ class ExponentiatedHenckyIncompressible(_IncompressibleModel):
     k: float
 
     kind: ClassVar[str] = "exp_hencky_incompressible"
-
-    def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ConfigurationError(f"violated constraint mu > 0 (mu = {self.mu})")
-        if self.k <= 0.0:
-            raise ConfigurationError(f"violated constraint k > 0 (k = {self.k})")
 
     def ghat(self, x):
         x = np.asarray(x, dtype=float)
@@ -477,9 +436,6 @@ class ExponentiatedHenckyIncompressible(_IncompressibleModel):
             ((1.0 - x) * e)[..., :, None] * _eye33(x)
             + 2.0 * self.k * (x * e)[..., :, None] * x[..., None, :]
         )
-
-    def parameters(self):
-        return {"mu": self.mu, "k": self.k}
 
 
 def _constants(p):

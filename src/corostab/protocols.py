@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SolverError, UsageError
+from .errors import ConfigurationError, DomainError, SolverError, UsageError, check_finite
 
 __all__ = [
     "CurveTable",
@@ -43,6 +43,7 @@ __all__ = [
     "driving_stress",
     "incremental_moduli",
     "lateral_closure",
+    "solved_state",
     "sweep",
 ]
 
@@ -58,8 +59,11 @@ CSV_HEADER = (
 
 _Y_LO, _Y_HI = math.log(1e-3), math.log(1e3)
 _X_RANGE = -math.log(sys.float_info.min)  # |log| of the smallest normal double
-_SCAN_POINTS = 64
-_GRID = np.linspace(_Y_LO, _Y_HI, _SCAN_POINTS)
+# 64 points over [1e-3, 1e3] and, past each end, 10 more at
+# +-(log 1e3 + 6.9 * 2^k), k = -3..6: out to about 1e195, inside _X_RANGE
+_OUTER = _Y_HI + 6.9 * 2.0 ** np.arange(-3, 7)
+_GRID = np.concatenate([-_OUTER[::-1], np.linspace(_Y_LO, _Y_HI, 64), _OUTER])
+_SCAN_POINTS = len(_GRID)
 # offsets of the window points from the reference lateral log-stretch:
 # 0 and +-0.02 * 2^k, k = 0..9, ascending
 _WINDOW = 0.02 * np.concatenate([-(2.0 ** np.arange(9, -1, -1)), [0.0], 2.0 ** np.arange(10)])
@@ -161,20 +165,26 @@ def _solve_lateral(r, dr, kind, lam1, ref):
     lateral stretch ``ref``: (chosen y, sorted candidate y's), y the lateral
     log-stretch.
 
-    One residual evaluation covers the 64-point grid over [1e-3, 1e3] and a
-    window around ref (ref and ref +- 0.02 * 2^k, k = 0..9, clipped to the
-    grid's range).  A grid cell whose ends differ in sign gives one root,
-    bisected on the cell; in every other cell, each window sub-cell whose ends
-    differ in sign gives one, bisected on the sub-cell, so two roots inside
-    one cell are found where the window sees them.  A point where r is
+    One residual evaluation covers the grid (64 points over [1e-3, 1e3] and
+    10 outer points past each end, out to about 1e195) and a window around
+    ref (ref and ref +- 0.02 * 2^k, k = 0..9, clipped to [1e-3, 1e3]).  A
+    grid cell whose ends differ in sign gives one root, bisected on the cell;
+    in every other cell, each window sub-cell whose ends differ in sign gives
+    one, bisected on the sub-cell, so two roots inside one cell are found
+    where the window sees them.  A point where r is
     exactly zero is a root (window points only inside cells of the second
-    kind).  Points where r is not finite bracket nothing.
+    kind).  Points where r is not finite, or where J is beyond the normal
+    double range, bracket nothing.
     """
     y_ref = math.log(ref)
+    a, b, _ = _COMP_RATES[kind]
     with np.errstate(over="ignore", invalid="ignore"):
         ys = np.concatenate([_GRID, np.clip(y_ref + _WINDOW, _Y_LO, _Y_HI)])
         vals = r(ys)
-        sign = np.where(np.isfinite(vals), np.sign(vals), np.nan)  # NaN compares False
+        # r = tau_f / J: where J = exp(sum of x) or 1 / J is no normal double,
+        # r may under- or overflow, and an r of exactly 0 there is no root
+        in_range = np.abs(sum(a) * math.log(lam1) + sum(b) * ys) <= _X_RANGE
+        sign = np.where(np.isfinite(vals) & in_range, np.sign(vals), np.nan)  # NaN compares False
         g = sign[:_SCAN_POINTS]
         flip = g[:-1] * g[1:] < 0.0
         closed = np.append(flip, True)  # the last grid point starts no cell
@@ -188,7 +198,7 @@ def _solve_lateral(r, dr, kind, lam1, ref):
         if not (brackets or zeros):
             raise SolverError(
                 f"lateral root not bracketed for protocol '{kind}' at lambda1 = {lam1}; "
-                f"scanned lateral range [1e-3, 1e3]",
+                f"scanned lateral range [{math.exp(_GRID[0]):.3g}, {math.exp(_GRID[-1]):.3g}]",
                 scan=list(zip(np.exp(_GRID), vals[:_SCAN_POINTS])),
             )
         roots = sorted([_refine_root(r, dr, lo, hi) for lo, hi in brackets]
@@ -246,11 +256,29 @@ def lateral_closure(model, protocol: Protocol, lam1, warm=None) -> LateralSoluti
                            candidates=tuple(math.exp(v) for v in roots))
 
 
+def solved_state(model, protocol: Protocol, lam1, closure=None, warm=None, with_moduli=True):
+    """Closure and curve row (a one-row ``CurveTable``) of the state lam1.
+
+    The closure is ``closure`` when the caller has solved it, otherwise one
+    ``lateral_closure`` (``warm`` as there).  A stress, energy or modulus may
+    overflow on the way, so numpy's overflow and invalid-operation warnings
+    are silenced, and what counts is the result: a computed column that is
+    not finite (the modulus columns only ``with_moduli``) is a DomainError
+    naming the state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if closure is None:
+            closure = lateral_closure(model, protocol, lam1, warm=warm)
+        row = _curve_rows(model, protocol, [lam1], [closure], with_moduli)
+    columns = [v for k, v in vars(row).items() if with_moduli or not k.startswith("modulus")]
+    check_finite(f"protocol '{protocol.kind}': ", "lambda1", row.lambda1, *columns)
+    return closure, row
+
+
 def driving_stress(model, protocol: Protocol, lam1, warm=None):
     """Driving stress and its closure at lam1: Cauchy sigma_1 for compressible
-    protocols, Kirchhoff tau_1 for incompressible ones."""
-    closure = lateral_closure(model, protocol, lam1, warm=warm)
-    row = _curve_rows(model, protocol, [lam1], [closure], with_moduli=False)
+    protocols, Kirchhoff tau_1 for incompressible ones.  A value beyond the
+    double range is a DomainError (``solved_state``)."""
+    closure, row = solved_state(model, protocol, lam1, warm=warm, with_moduli=False)
     return float(row.stress_driving[0]), closure
 
 
@@ -283,11 +311,10 @@ def incremental_moduli(model, protocol: Protocol, lam1, closure=None):
     multiplicity factor; modulus_incr_log = lambda1 * modulus_incr =
     factor * d(driving stress)/d(log lambda1).  The slope is exact (see
     ``_log_slopes``) at the closure of lam1: ``closure`` when the caller has
-    already solved it, otherwise one cold ``lateral_closure``.
+    already solved it, otherwise one cold ``lateral_closure``.  A value
+    beyond the double range is a DomainError (``solved_state``).
     """
-    if closure is None:
-        closure = lateral_closure(model, protocol, lam1)
-    row = _curve_rows(model, protocol, [lam1], [closure])
+    row = solved_state(model, protocol, lam1, closure=closure)[1]
     return float(row.modulus_incr[0]), float(row.modulus_incr_log[0])
 
 

@@ -145,9 +145,15 @@ class PrincipalBlock:
     lh: np.ndarray
 
     def witnessed(self):
-        """Margin name -> where the state witnesses a violation (a margin
-        below WITNESS_MARGIN; NaN never does), in the order csp, be, te, lh."""
-        return {name: getattr(self, name) < WITNESS_MARGIN for name in _POINT_CHECKS}
+        """Margin name -> where the state witnesses a violation (see
+        ``_witnesses``), in the order csp, be, te, lh."""
+        return {name: _witnesses(getattr(self, name)) for name in _POINT_CHECKS}
+
+
+def _witnesses(margins):
+    """Where a margin witnesses a violation: finite and below WITNESS_MARGIN.
+    A margin that is not finite witnesses nothing."""
+    return np.isfinite(margins) & (margins < WITNESS_MARGIN)
 
 
 def _normal_components(v):
@@ -608,7 +614,7 @@ class StabilityReport:
             },
             "violations": self.violations,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _grid_states(grid):
@@ -629,9 +635,10 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
     ``pairs`` seeded random state pairs checked for two-point monotonicity in
     the Cauchy measure and, on det-normalized states, the Kirchhoff measure;
     a pair whose value is not finite sets that column to 0 for both of its
-    states and is not listed as a violation.  Deterministic for a fixed grid
-    and seed.  Violations are listed by state (csp, be, te, lh), then by
-    pair in draw order (tsts_m_plus, hill).
+    states and is not listed as a violation, nor is a state whose margin is
+    not finite.  Deterministic for a fixed grid and seed.  Violations are
+    listed by state (csp, be, te, lh), then by pair in draw order
+    (tsts_m_plus, hill).
     """
     lo, hi, n = grid
     if not (math.isfinite(lo) and math.isfinite(hi) and min(lo, hi) > 0.0):
@@ -668,7 +675,7 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
 
     margins = np.stack([getattr(block, check) for check in _POINT_CHECKS], axis=-1)
     pair_margins = np.stack([tsts_vals, hill_vals], axis=-1)
-    witness, pair_witness = margins < WITNESS_MARGIN, pair_margins < WITNESS_MARGIN
+    witness, pair_witness = _witnesses(margins), _witnesses(pair_margins)
     ok = np.ones((len(_PAIR_CHECKS), n_states), dtype=bool)  # tsts_m_plus_ok, hill_ok
     p, k = np.nonzero(pair_witness | ~np.isfinite(pair_margins))
     ok[k[:, None], pair_idx[p]] = False

@@ -216,6 +216,37 @@ def test_config_parameters_must_be_numbers(tmp_path, capsys, parameters, named):
     assert named in err
 
 
+# per kind, the model flags with valid values; each scalar field of the
+# kind's class is one of them
+VALID_FLAGS = {
+    "exp_hencky": {"mu": "1", "lambda-lame": "2", "k": "1", "khat": "1"},
+    "neo_hooke_vol_iso": {"mu": "1", "kappa": "3"},
+    "neo_hooke_incompressible": {"mu": "1"},
+    "quadratic_hencky_incompressible": {"mu": "1"},
+    "exp_hencky_incompressible": {"mu": "1", "k": "1"},
+}
+SCALAR_FLAGS = {"exp_hencky": ("k", "khat"), "neo_hooke_vol_iso": ("mu", "kappa"),
+                "neo_hooke_incompressible": ("mu",), "quadratic_hencky_incompressible": ("mu",),
+                "exp_hencky_incompressible": ("mu", "k")}
+
+
+@pytest.mark.parametrize("kind", list(SCALAR_FLAGS))
+def test_nonpositive_or_nonfinite_parameter_is_one_error_line(capsys, kind):
+    # e.g. --kappa nan built a model whose scan printed "kappa":NaN, which is
+    # not JSON, and listed violations before it exited 1
+    for name in SCALAR_FLAGS[kind]:
+        for value in ("0", "-1", "nan", "inf", "-inf"):
+            flags = {**VALID_FLAGS[kind], name: value}
+            argv = [f"--{k}={v}" for k, v in flags.items()]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "moduli", "--model", kind, *argv,
+                                         "--protocol", "uniaxial", "--at", "1.5")
+            assert (code, out) == (1, ""), (name, value)
+            assert err.startswith("corostab: error:") and err.count("\n") == 1
+            assert f"0 < {name} < inf" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "sweep", "--protocol", "uniaxial", "--grid", "0.5:2:5")
     assert code == 1 and "no model" in err
@@ -229,13 +260,13 @@ def test_usage_errors(capsys):
 
 
 def test_unsolvable_closure_names_stretch(capsys):
-    # the lateral root leaves the scan window far out; the failing lambda1
-    # must appear in the message
-    code, _, err = run_cli(
-        capsys, "sweep", *QH, "--protocol", "uniaxial", "--grid", "1:1e12:3",
-    )
+    # the lateral root lambda1^(-0.98/0.51) leaves the scanned range
+    # [1.64e-195, 6.09e+194] far out; the failing lambda1 must appear in the
+    # message
+    code, _, err = run_cli(capsys, "sweep", "--model", "quadratic_hencky", "--E", "1",
+                           "--nu", "0.49", "--protocol", "equibiaxial", "--grid", "1:1e120:3")
     assert code == 1
-    assert "lambda1 = 500000000000.5" in err
+    assert "lambda1 = 5e+119" in err
 
 
 @pytest.mark.parametrize("flags,what", [
@@ -384,6 +415,28 @@ def test_out_of_range_stretch_is_a_domain_error(capsys):
     assert "lambda1 = 1e+200" in err and "equibiaxial" in err
 
 
+def test_scan_summary_is_strict_json(capsys, tmp_path):
+    # nine te margins overflow to -inf at E = 1e300: they were listed as
+    # violations, and the summary held -Infinity tokens.  The CSV keeps them
+    argv = ("scan", "--model", "quadratic_hencky", "--E", "1e300", "--nu", "0.3",
+            "--grid", "1e-8:1e8:5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and "61 of 125 states" in err
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["counts"]["violations"]["te"] == 115
+    out_csv = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, *argv, "--out", str(out_csv))[0] == 1
+    te = [row.split(",")[8] for row in out_csv.read_text().splitlines()[1:]]
+    assert te.count("-inf") == 9
+
+
 @pytest.mark.parametrize("command", ["check", "moduli"])
 def test_overflowing_stress_is_a_domain_error(capsys, command):
     # the stretches are representable but mu exp(2 x) overflows: check ended
@@ -479,24 +532,20 @@ def test_nonfinite_states_fail_after_output(capsys, tmp_path, command):
         assert out.splitlines()[3:] == ["5e+199,1.414213562373095e-100,inf,inf,inf,inf,inf",
                                         "1e+200,1e-100,inf,inf,inf,inf,inf"]
         assert "lambda1 = 5e+199" in err
-        # the lateral stretch lambda1^(-2 nu / (1 - nu)) leaves the solved
-        # range [1e-3, 1e3] above lambda1 ~ 36.4: those closures bracket no
-        # root and are NaN rows (the sweep printed only the error, no rows)
+        # the lateral stretch lambda1^(-2 nu / (1 - nu)) leaves [1e-3, 1e3]
+        # above lambda1 ~ 36.4; the outer scan points solve those closures
+        # (the last 11 of 41 rows were NaN, and the sweep exited 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "sweep", "--model", "quadratic_hencky", "--E", "1",
                                      "--nu", "0.49", "--protocol", "equibiaxial",
                                      "--grid", "0.5:50:40")
-        assert code == 1 and err.count("\n") == 1
-        assert "'equibiaxial': 11 of 41 states" in err
-        assert "the first at lambda1 = 37.30769230769231" in err
+        assert code == 0 and err == ""
         table = CurveTable.from_csv(out)
-        rows = np.stack([table.lambda_lateral, table.stress_driving, table.stress_biot,
-                         table.energy, table.modulus_incr, table.modulus_incr_log], axis=-1)
-        assert np.all(np.isfinite(table.lambda1))
-        assert np.all(np.isfinite(rows[:30])) and np.all(np.isnan(rows[30:]))
-        np.testing.assert_allclose(table.lambda_lateral[:30],
-                                   table.lambda1[:30] ** (-0.98 / 0.51), rtol=1e-9)
+        rows = np.stack(list(vars(table).values()), axis=-1)
+        assert rows.shape == (41, 7) and np.all(np.isfinite(rows))
+        np.testing.assert_allclose(table.lambda_lateral, table.lambda1 ** (-0.98 / 0.51),
+                                   rtol=1e-9)
 
 
 @pytest.mark.parametrize("command", ["sweep", "moduli", "check", "scan", "rate-verify"])

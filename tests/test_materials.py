@@ -153,6 +153,67 @@ def test_every_parameter_map_follows_the_catalog_rule():
     assert accepted == 13
 
 
+# per kind, the scalar fields of its class (every one a modulus or an
+# exponent) with valid values; the ElasticConstants field checks itself
+SCALAR_FIELDS = {
+    "exp_hencky": {"k": 1.0, "khat": 1.5},
+    "quadratic_hencky": {},
+    "neo_hooke_vol_iso": {"mu": 1.0, "kappa": 3.0},
+    "neo_hooke_incompressible": {"mu": 1.0},
+    "quadratic_hencky_incompressible": {"mu": 1.0},
+    "exp_hencky_incompressible": {"mu": 1.0, "k": 1.0},
+}
+BAD_VALUES = (0.0, -1.0, np.nan, np.inf, -np.inf)
+
+
+def _direct(kind, fields):
+    cls = CATALOG_CLASSES[kind]
+    if kind in ("exp_hencky", "quadratic_hencky"):
+        return cls(mat.ElasticConstants(1.0, 2.0), **fields)
+    return cls(**fields)
+
+
+@pytest.mark.parametrize("kind", list(SCALAR_FIELDS))
+def test_every_scalar_parameter_is_finite_and_positive(kind):
+    # direct construction and instantiate_model reject each scalar field at
+    # each bad value, naming the field; nan and inf had passed for k, khat,
+    # kappa and the incompressible mu
+    for name, value in itertools.product(SCALAR_FIELDS[kind], BAD_VALUES):
+        fields = {**SCALAR_FIELDS[kind], name: value}
+        with pytest.raises(ConfigurationError, match=rf"0 < {name} < inf \({name} = "):
+            _direct(kind, fields)
+        extra = {"mu": 1.0, "lambda_lame": 2.0} if kind == "exp_hencky" else {}
+        with pytest.raises(ConfigurationError, match=rf"0 < {name} < inf \({name} = "):
+            instantiate_model(kind, {**extra, **fields})
+    # every parameter of every parameterization: no NaN or infinity passes
+    sets, extras = README_CATALOG[kind]
+    for given, value in itertools.product(sets, (np.nan, np.inf, -np.inf)):
+        p = {n: MAP_VALUES[n] for n in (*given, *extras)}
+        for name in p:
+            with pytest.raises(ConfigurationError):
+                instantiate_model(kind, {**p, name: value})
+
+
+def test_parameters_and_young_of_each_kind():
+    # literals: (E, nu) = (1, 0.3) gives mu = 1/2.6, lambda = 0.3/0.52; the
+    # Neo-Hooke split has lambda = kappa - 2 mu / 3 and E = 9 kappa mu /
+    # (3 kappa + mu); every incompressible kind has E = 3 mu
+    want = {
+        "exp_hencky": ({"mu": 1.0, "lambda_lame": 2.0, "k": 1.0, "khat": 1.0},
+                       2.6666666666666665),
+        "quadratic_hencky": ({"mu": 0.3846153846153846, "lambda_lame": 0.5769230769230769}, 1.0),
+        "neo_hooke_vol_iso": ({"mu": 1.0, "kappa": 1.0}, 2.25),
+        "neo_hooke_incompressible": ({"mu": 1.0}, 3.0),
+        "quadratic_hencky_incompressible": ({"mu": 1.0}, 3.0),
+        "exp_hencky_incompressible": ({"mu": 1.0, "k": 1.0}, 3.0),
+    }
+    for kind, params in CATALOG_PARAMS.items():
+        m = instantiate_model(kind, params)
+        assert m.parameters() == want[kind][0], kind
+        assert list(m.parameters()) == list(want[kind][0]), kind
+        assert m.young == pytest.approx(want[kind][1], rel=1e-15, abs=0.0), kind
+
+
 def test_neo_hooke_parameterizations_agree():
     a = instantiate_model("neo_hooke_vol_iso", {"mu": 1.0, "kappa": 2.0})
     b = instantiate_model("neo_hooke_vol_iso", {"mu": 1.0, "lambda_lame": 2.0 - 2.0 / 3.0})

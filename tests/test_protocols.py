@@ -1,11 +1,12 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from corostab import materials as mat
 from corostab import protocols as proto
-from corostab.errors import ConfigurationError, SolverError, UsageError
+from corostab.errors import ConfigurationError, DomainError, SolverError, UsageError
 from corostab.materials import instantiate_model
 from corostab.protocols import (
     CurveTable,
@@ -195,27 +196,91 @@ def test_library_closures_do_not_warn(stiffening):
 
 
 def test_sweep_keeps_rows_past_an_unbracketed_closure():
-    # lambda_3 = lambda1^(-2 nu / (1 - nu)) leaves [1e-3, 1e3] above
-    # lambda1 ~ 36.4; those 11 rows are NaN but for lambda1, the others solved
+    # lambda_3 = lambda1^(-2 nu / (1 - nu)) leaves the scanned lateral range
+    # [1.64e-195, 6.09e+194] above lambda1 ~ 1e101: the three rows there are
+    # NaN but for lambda1, the others solved
     m = instantiate_model("quadratic_hencky", {"E": 1.0, "nu": 0.49})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tab = sweep(m, Protocol("equibiaxial"), 0.5, 50.0, 40)
-    assert len(tab.lambda1) == 41 and np.all(np.isfinite(tab.lambda1))
+        tab = sweep(m, Protocol("equibiaxial"), 0.5, 1e120, 4)
+    assert len(tab.lambda1) == 5 and np.all(np.isfinite(tab.lambda1))
     bad = np.isnan(tab.lambda_lateral)
-    assert np.count_nonzero(bad) == 11 and tab.lambda1[bad][0] == 37.30769230769231
+    assert bad.tolist() == [False, False, True, True, True]
     for column in (tab.stress_driving, tab.stress_biot, tab.energy, tab.modulus_incr,
                    tab.modulus_incr_log):
         assert np.all(np.isnan(column[bad])) and np.all(np.isfinite(column[~bad]))
-    with pytest.raises(SolverError, match="not bracketed"):
+    with pytest.raises(SolverError, match=r"not bracketed.*\[1.64e-195, 6.09e\+194\]"):
         lateral_closure(m, Protocol("equibiaxial"), float(tab.lambda1[bad][0]))
 
 
 def test_unsolvable_closure_reports_scan():
-    # an absurd driving stretch far outside the lateral scan window
-    qh = instantiate_model("quadratic_hencky", {"E": 1.0, "nu": 0.3})
-    with pytest.raises((SolverError, ConfigurationError)):
-        lateral_closure(qh, Protocol("uniaxial"), 1e12)
+    # the lateral root lambda1^(-0.98/0.51) lies far past the scanned range;
+    # the error carries the scan, one (stretch, residual) pair per grid point
+    qh = instantiate_model("quadratic_hencky", {"E": 1.0, "nu": 0.49})
+    with pytest.raises(SolverError) as exc:
+        lateral_closure(qh, Protocol("equibiaxial"), 1e120)
+    assert len(exc.value.scan) == 84
+    assert exc.value.scan[0][0] == pytest.approx(1.64e-195, rel=1e-2)
+    # where J = exp(sum of x) leaves the normal double range, sigma = tau / J
+    # underflows to an exact 0 that is no root: one candidate, not also 6e194
+    assert len(lateral_closure(qh, Protocol("uniaxial"), 2.0).candidates) == 1
+
+
+def _mp_equibiaxial_root(m, lam1, lat):
+    """50-digit lateral stretch closing equibiaxial tension at lam1: the
+    closed form for quadratic_hencky, else the root of tau_3 on a bracket of
+    +-1e-9 around log(lat), which must hold a sign change."""
+    with mpmath.workdps(50):
+        mu, lam = mpmath.mpf(m.constants.mu), mpmath.mpf(m.constants.lam)
+        x1 = mpmath.log(lam1)
+        if m.kind == "quadratic_hencky":
+            return float(mpmath.exp(-2 * lam * x1 / (2 * mu + lam)))
+        k, khat = mpmath.mpf(m.k), mpmath.mpf(m.khat)
+
+        def tau3(y):
+            s = 2 * x1 + y
+            return (2 * mu * y * mpmath.exp(k * (2 * x1 * x1 + y * y))
+                    + lam * s * mpmath.exp(khat * s * s))
+        y0, d = mpmath.log(lat), mpmath.mpf(1e-9)
+        assert tau3(y0 - d) * tau3(y0 + d) < 0
+        return float(mpmath.exp(mpmath.findroot(tau3, (y0 - d, y0 + d), solver="anderson",
+                                                verify=False)))
+
+
+@pytest.mark.parametrize("kind,params,grid,outside", [
+    ("quadratic_hencky", {"E": 1.0, "nu": 0.49}, (0.5, 50.0, 40), 11),
+    ("exp_hencky", {"E": 1.0, "nu": -0.4, "k": 0.5, "khat": 2.0}, (0.1, 0.3, 3), 2),
+], ids=["quadratic_hencky", "exp_hencky"])
+def test_lateral_roots_past_1e3_are_solved(kind, params, grid, outside):
+    # the rows whose lateral stretch lies outside [1e-3, 1e3] were NaN while
+    # the scan stopped there: lambda1 >= 37.3 in the first sweep (the closed
+    # form lambda1^(-0.98/0.51)), lambda1 = 0.1 and 0.2 in the second
+    m = instantiate_model(kind, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = sweep(m, Protocol("equibiaxial"), *grid)
+    assert np.all(np.isfinite(np.stack(list(vars(tab).values()))))
+    lat = tab.lambda_lateral
+    assert np.count_nonzero((lat < 1e-3) | (lat > 1e3)) == outside
+    for lam1, value in zip(tab.lambda1, lat):
+        assert value == pytest.approx(_mp_equibiaxial_root(m, lam1, value), rel=4e-15, abs=0.0)
+        if kind == "quadratic_hencky":
+            assert value == pytest.approx(lam1 ** (-0.98 / 0.51), rel=2e-15, abs=0.0)
+
+
+def test_overflowing_state_is_a_domain_error_in_the_library():
+    # mu lambda1^2 overflows at a representable stretch: incremental_moduli
+    # returned (inf, inf) with five RuntimeWarnings and driving_stress inf;
+    # both now fail the way the command line does
+    m = instantiate_model("neo_hooke_incompressible", {"mu": 1.0})
+    message = ("protocol 'uniaxial': 1 of 1 states have a non-finite value, "
+               "the first at lambda1 = 1e+200")
+    for f in (driving_stress, incremental_moduli):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                f(m, Protocol("uniaxial"), 1e200)
+        assert str(exc.value) == message
 
 
 # --- driving stresses and closed forms ------------------------------------------
