@@ -228,16 +228,19 @@ def lateral_closure(model, protocol: Protocol, lam1, warm=None) -> LateralSoluti
     Compressible closures take the root nearest a reference lateral stretch
     (see ``_solve_lateral``): ``warm`` if given, as a sweep passes its
     previous row, otherwise 1, the reference state's.  ``warm`` moves only
-    that reference; every candidate root is found the same way.
+    that reference; every candidate root is found the same way.  An
+    incompressible pressure beyond the double range is a DomainError naming
+    the state; the extra stresses it does not read may overflow unseen.
     """
     if lam1 <= 0.0 or not np.isfinite(lam1):
         raise ConfigurationError(f"driving stretch must be positive, got {lam1}")
     kind = protocol.kind
     if model.incompressible:
         lam2, lam3 = _incompressible_kinematics(kind, lam1)
-        t = model.extra_tau(np.log([lam1, lam2, lam3]))
-        return LateralSolution(lam2=lam2, lam3=lam3, pressure=float(t[_COMP_RATES[kind][2]]),
-                               residual=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # a stress the pressure does not read
+            pressure = float(model.extra_tau(np.log([lam1, lam2, lam3]))[_COMP_RATES[kind][2]])
+        check_finite(f"protocol '{kind}': ", "lambda1", np.array([lam1]), np.array([pressure]))
+        return LateralSolution(lam2=lam2, lam3=lam3, pressure=pressure, residual=0.0)
     if kind == "hydrostatic":
         return LateralSolution(lam2=lam1, lam3=lam1)
 
@@ -394,9 +397,9 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
     The grid is linspace(lam_min, lam_max, steps); 1.0 is inserted when the
     range straddles it so the reference row exists and seeds the continuation.
     A state whose closure fails (no bracketed root, a residual above
-    tolerance, or closed incompressible kinematics outside the floating-point
-    range) is a row of NaN but for lambda1; the march goes on from the last
-    solved state.
+    tolerance, closed incompressible kinematics outside the floating-point
+    range, or a pressure beyond it) is a row of NaN but for lambda1; the
+    march goes on from the last solved state.
     """
     if not (0.0 < lam_min < lam_max):
         raise ConfigurationError(f"need 0 < lam_min < lam_max, got ({lam_min}, {lam_max})")

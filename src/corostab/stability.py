@@ -86,6 +86,12 @@ WITNESS_MARGIN = -1e-7
 # moduli A_ijij are read off these entries (``_rank_one_candidates``).
 _COINCIDENT = 1e-6
 
+# Newton steps allowed per root of ``_normal_eigenvalues``.  The test blocks
+# take at most 12; at a double root each step halves the distance, and 64
+# halvings take a bracket of width |b| below eps |b|.
+_SECULAR_STEPS = 64
+_EPS = np.finfo(float).eps
+
 # the checks of one state (margins of ``PrincipalBlock``) and of a state pair
 _POINT_CHECKS = ("csp", "be", "te", "lh")
 _PAIR_CHECKS = ("tsts_m_plus", "hill")
@@ -220,50 +226,89 @@ def _normal_eigenvalues(N, k):
 
     The (dev, dev) block has eigenvalues a_1 <= a_2 in closed form.  With a
     (dev, vol) column b and vol-vol entry d, the eigenvalues are the roots
-    of the secular equation f(l) = d - l - sum_k beta_k^2 / (a_k - l), beta
-    = b in the eigenvectors of a; f decreases between its poles a_k.  The
-    roots interlace the a_k and lie within |b| of the sorted (a_1, a_2, d)
-    (Weyl).  13 passes each cut the bracket (width <= 2 |b| at first) into
-    16 parts, evaluate f at the inner points and keep the part holding the
-    root: 52 bits leave an error of order eps max(|b|, |l|), however large d is.
+    of the secular equation f(l) = d - l - sum_k w_k / (a_k - l), w_k =
+    beta_k^2, beta = b in the eigenvectors of a; f decreases between its
+    poles a_k.  The roots interlace the a_k and lie within |b| of the sorted
+    (a_1, a_2, d) (Weyl), which gives each a bracket [lo, hi].
+
+    A root is found by Newton's method on f with one pole c cleared,
+    g(l) = (c - l) f(l) = (c - l)(d - l) - w_c - w_o + w_o (o - c) / (o - l),
+    o the other pole.  g is convex where l and c lie on the same side of o,
+    so from a start left of the root, where g > 0, every step lands between
+    the iterate and the root (a convex function lies above its tangent):
+    the iterate rises monotonically, quadratically near a simple root, and
+    stays in [lo, hi] (it is clipped to hi against roundoff).  Root 1
+    clears a_1 and starts at lo; root 3 is minus root 1 of -N.  Root 2 lies
+    in (a_1, a_2): the sign of f at the bracket's midpoint tells which half
+    holds it, and it starts at that midpoint, clearing a_2 if the root is
+    to its right, or as minus root 2 of -N, clearing a_1, if to its left.
+    Coincident poles are one pole of weight w_1 + w_2.
+
+    The block is first scaled by the power of two of its largest entry,
+    which is exact and keeps every product in range.  A root stops after a
+    step of at most eps max(|b|, |lo|, |hi|), or after ``_SECULAR_STEPS``;
+    each root is updated on its own, so a state has the same bits in any
+    batch.  Against a 50-digit reference every root of the test blocks lies
+    within 1.2 eps max(|root|, |b|, largest (dev, dev) entry).  A NaN entry
+    makes every root NaN, and an infinite one root 1 (unless d = +inf and
+    b = 0, where it is a_1), so such a margin witnesses nothing.
     """
     p, q, r = N[..., 0, 0], N[..., 1, 1], N[..., 0, 1]
-    mean, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), r)
-    a = np.stack([mean - radius, mean + radius], axis=-1)
     if N.shape[-1] == 2:
-        return a[..., :k]
-    phi = 0.5 * np.arctan2(2.0 * r, p - q)  # a_2 has the eigenvector (cos phi, sin phi)
-    b0, b1, d = N[..., 0, 2], N[..., 1, 2], N[..., 2, 2]
-    cos, sin = np.cos(phi), np.sin(phi)
-    # squares as products: a lone state's entries are numpy scalars, whose
-    # ** 2 calls the C pow and can round apart from the batch's square
-    beta1, beta2 = cos * b1 - sin * b0, cos * b0 + sin * b1
-    beta1, beta2 = (beta1 * beta1)[..., None], (beta2 * beta2)[..., None]
-    norm_b = np.hypot(b0, b1)[..., None]
-    diag = np.sort(np.stack([a[..., 0], a[..., 1], d], axis=-1), axis=-1)
-    inf = np.full(d.shape, np.inf)
-    lo = np.maximum(diag - norm_b, np.stack([-inf, a[..., 0], a[..., 1]], axis=-1))[..., :k]
-    hi = np.minimum(diag + norm_b, np.stack([a[..., 0], a[..., 1], inf], axis=-1))[..., :k]
-    hi[..., 0] = diag[..., 0]  # l_1 <= min(a_1, d)
-    a1, a2, d = a[..., :1], a[..., 1:], d[..., None]
-    width = hi - lo
-    parts = np.arange(1.0, 16.0).reshape((15,) + (1,) * lo.ndim)  # on a leading axis
-    # the 15 inner points of every pass, in work arrays allocated once
-    mid, term, rest = (np.empty(parts.shape[:1] + lo.shape) for _ in range(3))
-    ahead = np.empty(mid.shape, dtype=bool)
-    # the bracket is [lo, lo + width]; a point can land on a pole only
-    # within an ulp of it, where the term is +-inf, or NaN when its beta is
-    # 0, and either way the bracket keeps the root to that ulp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(np.finfo(float).nmant // 4):
-            width = width / 16.0
-            np.add(lo, np.multiply(width, parts, out=mid), out=mid)
-            np.divide(beta1, np.subtract(a1, mid, out=term), out=term)
-            np.add(term, np.divide(beta2, np.subtract(a2, mid, out=rest), out=rest), out=term)
-            np.greater(np.subtract(d, mid, out=rest), term, out=ahead)  # f(mid) > 0
-            np.copyto(mid, lo, where=np.logical_not(ahead, out=ahead))
-            np.max(mid, axis=0, out=lo)
-    return lo + 0.5 * width
+        mean, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), r)
+        return np.stack([mean - radius, mean + radius], axis=-1)[..., :k]
+    entries = (p, q, r, N[..., 0, 2], N[..., 1, 2], N[..., 2, 2])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # times 2^-e, 2^e just above the largest entry (2^-e finite for e >= -1021)
+        e = np.maximum(np.frexp(np.max(np.abs(np.stack(entries)), axis=0))[1], -1021)
+        p, q, r, b0, b1, d = (v * np.ldexp(1.0, -e) for v in entries)
+        mean, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), r)
+        a1, a2 = mean - radius, mean + radius
+        phi = 0.5 * np.arctan2(2.0 * r, p - q)  # a_2 has the eigenvector (cos phi, sin phi)
+        cos, sin = np.cos(phi), np.sin(phi)
+        beta1, beta2 = cos * b1 - sin * b0, cos * b0 + sin * b1
+        w1, w2 = beta1 * beta1, beta2 * beta2
+        norm_b = np.hypot(b0, b1)
+        same, one = a1 == a2, np.ones(d.shape)
+        # (sign, c, w_c, o, w_o, d, lo, hi) of each root, for N or, with sign -1, -N
+        low = np.minimum(a1, d)
+        roots = [(one, a1, np.where(same, w1 + w2, w1), np.where(same, np.inf, a2), w2, d,
+                  low - norm_b, low)]
+        if k > 1:
+            med = np.minimum(np.maximum(d, a1), a2)
+            lo, hi = np.maximum(med - norm_b, a1), np.minimum(med + norm_b, a2)
+            m = 0.5 * (lo + hi)
+            right = d - m - w1 / (a1 - m) - w2 / (a2 - m) > 0.0  # f(m) > 0: root 2 > m
+            roots.append((np.where(right, 1.0, -1.0), np.where(right, a2, -a1),
+                          np.where(right, w2, w1), np.where(right, a1, -a2),
+                          np.where(right, w1, w2), np.where(right, d, -d),
+                          np.where(right, m, -m), np.where(right, hi, -lo)))
+        if k > 2:
+            top = np.maximum(a2, d)
+            roots.append((-one, -a2, np.where(same, w1 + w2, w2), np.where(same, np.inf, -a1), w1, -d,
+                          -(top + norm_b), -np.maximum(top - norm_b, a2)))
+        sign, c, wc, o, wo, vol, lo, hi = (np.concatenate([np.ravel(v) for v in col])
+                                          for col in zip(*roots))
+        tol = _EPS * np.maximum(np.tile(np.ravel(norm_b), k), np.maximum(np.abs(lo), np.abs(hi)))
+        y = lo.copy()
+        at = np.flatnonzero(hi - lo > tol)  # a shut bracket is its root
+        c, wc, o, wo, vol, hi, tol, x = (v.take(at) for v in (c, wc, o, wo, vol, hi, tol, lo))
+        for _ in range(_SECULAR_STEPS):
+            if not at.size:
+                break
+            t = wo / (o - x)
+            h = vol - x - t  # f(x) + w_c / (c - x)
+            cx = c - x
+            step = (cx * h - wc) / (h + cx * (1.0 + t / (o - x)))  # -g(x) / g'(x)
+            x = np.minimum(x + step, hi)
+            y[at] = x
+            moving = np.abs(step) > tol  # False for NaN
+            if not np.all(moving):
+                keep = np.flatnonzero(moving)
+                at, c, wc, o, wo, vol, hi, tol, x = (
+                    v.take(keep) for v in (at, c, wc, o, wo, vol, hi, tol, x))
+    y = np.ldexp(sign * y, np.tile(np.ravel(e), k)).reshape((k,) + d.shape)
+    return np.moveaxis(y, 0, -1)
 
 
 def _tangent(model, V):

@@ -62,6 +62,58 @@ the 60-digit Simpson-Spector minimum in brackets, per state (old -> new):
 
 The largest change is 1.9e-15 relative; the old values are within 3.6e-15
 of the reference, the new ones within 2.2e-15.
+
+When the smallest tangent eigenvalue moved from a 16-part cut of its
+secular bracket to Newton's method on the pole-cleared secular function,
+``tangent_min_eig`` of two ``check`` files and 38 of the 84 csp margins of
+``quadratic_hencky-scan.json`` moved; no count and no other byte did.  With
+the 60-digit tangent eigenvalue in brackets (closed-form derivatives of W,
+mpmath.eigsy of sym(G), the shear quotients), old -> new:
+
+* exp_hencky equibiaxial ``check``: 4.8202744339869765 -> 4.820274433986977
+  (4.8202744339869801059);
+* quadratic_hencky uniaxial ``check``: 0.28502117876986494 ->
+  0.285021178769865 (0.28502117876986509069);
+* [0.5, 1.75, 2.375]: -0.028457629633433144 -> -0.028457629633433106;
+  [0.5, 2.375, 1.75]: -0.028457629633433092 -> -0.028457629633433113;
+  [1.75, 0.5, 2.375]: -0.02845762963343306 -> -0.02845762963343307;
+  [1.75, 2.375, 0.5]: -0.028457629633433228 -> -0.028457629633433172;
+  [2.375, 0.5, 1.75]: -0.028457629633433092 -> -0.02845762963343308;
+  [2.375, 1.75, 0.5]: -0.028457629633433228 -> -0.02845762963343314
+  (-0.028457629633433208986);
+* [0.5, 1.75, 3.0], [3.0, 1.75, 0.5]:
+  -0.19142560214520546 -> -0.19142560214520543;
+  [0.5, 3.0, 1.75], [3.0, 0.5, 1.75]:
+  -0.19142560214520538 -> -0.19142560214520535;
+  [1.75, 3.0, 0.5]: -0.19142560214520546 -> -0.1914256021452054
+  (-0.19142560214520539109);
+* [0.5, 2.375, 2.375]: -0.21703696302253672 -> -0.21703696302253664
+  (-0.21703696302253675373);
+* [0.5, 3.0, 2.375], [3.0, 0.5, 2.375]:
+  -0.3148195330339983 -> -0.31481953303399834;
+  [2.375, 3.0, 0.5]: -0.31481953303399834 -> -0.3148195330339984
+  (-0.31481953303399829131);
+* [1.125, 1.125, 2.375]: -0.1309039335701602 -> -0.13090393357016022
+  (-0.13090393357016019007);
+* the six orderings of (1.125, 1.75, 2.375):
+  -0.3022775397300889 -> -0.30227753973008886 (-0.30227753973008893522);
+* the three orderings of (1.125, 2.375, 2.375):
+  -0.34283664076611253 -> -0.3428366407661125 (-0.34283664076611241103);
+* [1.125, 3.0, 1.125], [3.0, 1.125, 1.125]:
+  -0.26248614889466393 -> -0.2624861488946639 (-0.26248614889466385745);
+* [1.125, 3.0, 1.75], [1.75, 3.0, 1.125], [3.0, 1.125, 1.75]:
+  -0.34148509575333125 -> -0.3414850957533312 (-0.34148509575333128424);
+* the three orderings of (1.75, 1.75, 2.375):
+  -0.33946709747602 -> -0.33946709747601994 (-0.33946709747601999195);
+* the three orderings of (2.375, 2.375, 3.0):
+  -0.2703328978162823 -> -0.2703328978162822 (-0.27033289781628229523);
+* [3.0, 0.5, 3.0], [3.0, 3.0, 0.5]:
+  -0.36720345337520377 -> -0.3672034533752037 (-0.36720345337520369118).
+
+The largest change is 3.1e-15 relative; the old values are within 3.6e-15
+of the reference, the new ones within 2.7e-15.  Against the 50-digit
+eigenvalue of the same double-precision block, the old values are within
+1.2 and the new ones within 0.73 eps times the block's largest entry.
 """
 
 import json

@@ -283,6 +283,22 @@ def test_overflowing_state_is_a_domain_error_in_the_library():
         assert str(exc.value) == message
 
 
+def test_incompressible_closure_reads_only_its_pressure():
+    # at lambda1 = 1e200 the driving extra stress mu lambda1^2 overflows but
+    # the pressure mu lambda2^2 = 1e-200 does not: no warning leaks.  At
+    # lambda1 = 1e-80 the equibiaxial pressure mu lambda1^-4 overflows, a
+    # DomainError naming the state and protocol
+    m = instantiate_model("neo_hooke_incompressible", {"mu": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lateral_closure(m, Protocol("uniaxial"), 1e200).pressure == pytest.approx(
+            1e-200, rel=1e-13)
+        with pytest.raises(DomainError) as exc:
+            lateral_closure(m, Protocol("equibiaxial"), 1e-80)
+    assert str(exc.value) == ("protocol 'equibiaxial': 1 of 1 states have a non-finite value, "
+                              "the first at lambda1 = 1e-80")
+
+
 # --- driving stresses and closed forms ------------------------------------------
 
 def test_quadratic_hencky_sigma_closed_form(qh):

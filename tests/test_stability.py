@@ -590,39 +590,9 @@ def test_state_alone_is_its_batch_row(catalog, kind):
                 assert got.tobytes() == want.tobytes(), (protocol_kind, f.name, lam1)
 
 
-def _normal_eigenvalues_per_pass(N, k):
-    """``stability._normal_eigenvalues`` as written with fresh arrays in
-    every pass, the reference for its work arrays.  Its squares are products;
-    on arrays the former ``** 2`` is the same square."""
-    p, q, r = N[..., 0, 0], N[..., 1, 1], N[..., 0, 1]
-    mean, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), r)
-    a = np.stack([mean - radius, mean + radius], axis=-1)
-    phi = 0.5 * np.arctan2(2.0 * r, p - q)
-    b0, b1, d = N[..., 0, 2], N[..., 1, 2], N[..., 2, 2]
-    cos, sin = np.cos(phi), np.sin(phi)
-    beta1, beta2 = cos * b1 - sin * b0, cos * b0 + sin * b1
-    beta1, beta2 = (beta1 * beta1)[..., None], (beta2 * beta2)[..., None]
-    norm_b = np.hypot(b0, b1)[..., None]
-    diag = np.sort(np.stack([a[..., 0], a[..., 1], d], axis=-1), axis=-1)
-    inf = np.full(d.shape, np.inf)
-    lo = np.maximum(diag - norm_b, np.stack([-inf, a[..., 0], a[..., 1]], axis=-1))[..., :k]
-    hi = np.minimum(diag + norm_b, np.stack([a[..., 0], a[..., 1], inf], axis=-1))[..., :k]
-    hi[..., 0] = diag[..., 0]
-    a1, a2, d = a[..., :1], a[..., 1:], d[..., None]
-    width = hi - lo
-    parts = np.arange(1.0, 16.0).reshape((15,) + (1,) * lo.ndim)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(13):
-            width = width / 16.0
-            mid = lo + width * parts
-            ahead = d - mid > beta1 / (a1 - mid) + beta2 / (a2 - mid)
-            lo = np.where(ahead, mid, lo).max(axis=0)
-    return lo + 0.5 * width
-
-
-def test_normal_eigenvalues_work_arrays_keep_the_bits(catalog):
-    # random blocks (a vol-vol entry up to 1e20 times the rest, zero
-    # couplings, coincident dev-dev poles) and the 13^3 scan blocks
+def _secular_test_blocks(catalog):
+    """Random blocks (a vol-vol entry up to 1e20 times the rest, zero
+    couplings, coincident dev-dev poles) and the 13^3 scan blocks."""
     rng = np.random.default_rng(49)
     N = rng.standard_normal((5000, 3, 3))
     N = N + np.swapaxes(N, -1, -2)
@@ -630,12 +600,67 @@ def test_normal_eigenvalues_work_arrays_keep_the_bits(catalog):
     N[::7, 0, 2] = N[::7, 2, 0] = 0.0
     N[::11, 0, 1] = N[::11, 1, 0] = 0.0
     N[::13, 1, 1] = N[::13, 0, 0]
-    blocks = [N, stab.principal_block(catalog["exp_hencky"], _state_samples(50)).normal]
-    for block in blocks:
+    return [N, stab.principal_block(catalog["exp_hencky"], _state_samples(50)).normal]
+
+
+def _secular_error(got, N):
+    """Errors of the ascending roots ``got`` against 50-digit mpmath.eigsy,
+    in units of eps max(|root|, |b|, largest (dev, dev) entry)."""
+    with mpmath.workdps(50):
+        ref = sorted(mpmath.eigsy(mpmath.matrix(N.tolist()))[0])
+    scale = max(np.hypot(N[0, 2], N[1, 2]), np.max(np.abs(N[:2, :2])))
+    return [float(abs(mpmath.mpf(g) - e)) / (np.finfo(float).eps * max(abs(float(e)), scale))
+            for g, e in zip(got, ref)]
+
+
+def test_normal_eigenvalues_match_a_50_digit_reference(catalog):
+    # every root within 2 eps of the block's scale of the 50-digit value
+    # (the worst of these is 1.1 eps), the same iteration for every k, and a
+    # lone block the bits of its batch row
+    random, scan = _secular_test_blocks(catalog)
+    # every 7th random block and those with coincident poles (every 143rd),
+    # every 11th scan block
+    subsets = (np.union1d(np.arange(0, 5000, 7), np.arange(0, 5000, 143)), range(0, len(scan), 11))
+    for N, rows in zip((random, scan), subsets):
+        roots = stab._normal_eigenvalues(N, 3)
+        for k in (1, 2):
+            assert stab._normal_eigenvalues(N, k).tobytes() == roots[..., :k].tobytes()
+        for n in rows:
+            assert max(_secular_error(roots[n], N[n])) <= 2.0, (n, N[n].tolist())
+            for k in (1, 3):
+                assert stab._normal_eigenvalues(N[n], k).tobytes() == roots[n, :k].tobytes()
+
+
+def test_normal_eigenvalues_of_non_finite_blocks():
+    # a NaN or infinite entry returns at once under the callers' errstate:
+    # NaN roots for a NaN entry, a non-finite smallest root for an infinite
+    # one, so the margin witnesses nothing; finite rows keep their bits
+    rng = np.random.default_rng(51)
+    N = rng.standard_normal((72, 3, 3))
+    N = N + np.swapaxes(N, -1, -2)
+    for n in range(0, 72, 2):
+        i, j = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))[n // 2 % 6]
+        N[n, i, j] = N[n, j, i] = (np.nan, np.inf, -np.inf)[n // 24]
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in (1, 2, 3):
-            got = stab._normal_eigenvalues(block, k)
-            assert got.tobytes() == _normal_eigenvalues_per_pass(block, k).tobytes()
-            assert stab._normal_eigenvalues(block[7], k).tobytes() == got[7].tobytes()
+            roots = stab._normal_eigenvalues(N, k)
+            assert np.all(np.isnan(roots[:24:2]))
+            assert not np.any(np.isfinite(roots[::2, 0]))
+            assert not np.any(stab._witnesses(roots[::2, 0]))
+            assert np.all(np.isfinite(roots[1::2]))
+            for n in range(1, 72, 2):
+                assert stab._normal_eigenvalues(N[n], k).tobytes() == roots[n].tobytes()
+
+
+def test_csp_exact_where_block_entries_pass_1e154():
+    # the equibiaxial closure of this model at lambda1 = 2, whose block
+    # entries reach 1.8e155: their squares overflow unless the block is
+    # scaled first.  50-digit mpmath.eigsy of the block gives
+    # -1.8532099600190292e155; unscaled squares gave -2.11e155
+    m = mat.ExponentiatedHencky(mat.ElasticConstants(1.0, -0.5), 0.5, 0.5625)
+    block = stab.principal_block(m, [2.0, 2.0, 8.5783370318817e-12])
+    assert max(_secular_error([block.csp], block.normal)) <= 2.0
+    assert block.csp == pytest.approx(-1.8532099600190292e155, rel=1e-15)
 
 
 def test_probe_rejects_inverted_deformation(catalog):
