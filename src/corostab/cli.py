@@ -121,7 +121,7 @@ def _parser():
 
 def resolve_model(args):
     kind = args.model
-    params = {}
+    params, cfg = {}, {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -130,6 +130,8 @@ def resolve_model(args):
             raise ConfigurationError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"malformed JSON in '{args.config}': {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigurationError(f"config file must hold a JSON object, got {cfg!r}")
         if "kind" not in cfg:
             raise ConfigurationError("config file is missing the 'kind' key")
         kind = kind or cfg["kind"]
@@ -139,19 +141,19 @@ def resolve_model(args):
                 f"config 'parameters' must map names to numbers, got {file_params!r}"
             )
         params.update(file_params)
-        if "incompressible" in cfg:
-            flagged = bool(cfg["incompressible"])
-            if flagged != kind.endswith("_incompressible"):
-                raise ConfigurationError(
-                    f"config 'incompressible'={flagged} contradicts kind '{kind}'"
-                )
     for name in PARAMETER_NAMES:
         v = getattr(args, name, None)
         if v is not None:
             params[name] = v
     if kind is None:
         raise UsageError("no model given: use --model <kind> or --config <file>")
-    return instantiate_model(kind, params)
+    model = instantiate_model(kind, params)
+    flagged = cfg.get("incompressible", model.incompressible)
+    if not isinstance(flagged, bool):
+        raise ConfigurationError(f"config 'incompressible' must be a boolean, got {flagged!r}")
+    if flagged != model.incompressible:
+        raise ConfigurationError(f"config 'incompressible'={flagged} contradicts kind '{kind}'")
+    return model
 
 
 def _grid_triplet(args, what):
@@ -276,11 +278,10 @@ def _cmd_scan(args):
 def _cmd_rate_verify(args):
     if args.cases < 1:
         raise UsageError(f"--cases must be at least 1, got {args.cases}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     model = resolve_model(args)
-    if model.incompressible:
-        raise UsageError(
-            "rate-verify needs a compressible model (pointwise stress without pressure)"
-        )
+
     def relative(res, ref):
         return float(np.max(res / np.maximum(1.0, np.abs(ref))))
 

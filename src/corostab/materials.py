@@ -144,11 +144,19 @@ class MaterialModel:
         iso, c = self.ghat_hess_split(x)
         return iso + c[..., None, None]
 
+    def require(self, incompressible, need):
+        """The one regime rule: raise a UsageError "model '<kind>' is
+        (in)compressible; <need>" unless the model's regime is
+        ``incompressible``."""
+        if self.incompressible != incompressible:
+            regime = "incompressible" if self.incompressible else "compressible"
+            raise UsageError(f"model '{self.kind}' is {regime}; {need}")
+
     def extra_tau(self, x):
-        raise UsageError(f"model '{self.kind}' is compressible; no extra stress")
+        self.require(True, "no extra stress")
 
     def extra_tau_jac(self, x):
-        raise UsageError(f"model '{self.kind}' is compressible; no extra stress")
+        self.require(True, "no extra stress")
 
     @property
     def energy_offset(self):
@@ -161,10 +169,7 @@ class MaterialModel:
     # -- derived stress routes (compressible only) --
 
     def kirchhoff_principal(self, x):
-        if self.incompressible:
-            raise UsageError(
-                f"model '{self.kind}' is incompressible; principal stresses need a pressure"
-            )
+        self.require(False, "principal stresses need a pressure")
         return self.ghat_grad(x)
 
     def cauchy_principal(self, x):
@@ -492,7 +497,7 @@ def instantiate_model(kind: str, parameters: Mapping[str, float]) -> MaterialMod
     kind, a value that is not a number or one outside a model's constraints
     is a ConfigurationError.
     """
-    if kind not in _CATALOG:
+    if not isinstance(kind, str) or kind not in _CATALOG:
         raise ConfigurationError(f"unknown model kind '{kind}' (known: {', '.join(MODEL_KINDS)})")
     if not isinstance(parameters, Mapping):
         raise ConfigurationError(
@@ -533,10 +538,7 @@ def _spd_log_stretches(B):
 def cauchy_from_B(model, B) -> np.ndarray:
     """Cauchy stress tensor from the left Cauchy-Green tensor, by the spectral
     route.  Broadcasts over stacked (..., 3, 3) input.  Compressible only."""
-    if model.incompressible:
-        raise UsageError(
-            f"model '{model.kind}' is incompressible; its Cauchy stress needs a pressure"
-        )
+    model.require(False, "its Cauchy stress needs a pressure")
     x, Q = _spd_log_stretches(B)
     sig = model.cauchy_principal(x)
     return np.einsum("...ik,...k,...jk->...ij", Q, sig, Q)

@@ -233,7 +233,7 @@ def lateral_closure(model, protocol: Protocol, lam1, warm=None) -> LateralSoluti
     the state; the extra stresses it does not read may overflow unseen.
     """
     if lam1 <= 0.0 or not np.isfinite(lam1):
-        raise ConfigurationError(f"driving stretch must be positive, got {lam1}")
+        raise ConfigurationError(f"driving stretch must be positive and finite, got {lam1}")
     kind = protocol.kind
     if model.incompressible:
         lam2, lam3 = _incompressible_kinematics(kind, lam1)
@@ -401,8 +401,8 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
     range, or a pressure beyond it) is a row of NaN but for lambda1; the
     march goes on from the last solved state.
     """
-    if not (0.0 < lam_min < lam_max):
-        raise ConfigurationError(f"need 0 < lam_min < lam_max, got ({lam_min}, {lam_max})")
+    if not (0.0 < lam_min < lam_max < math.inf):
+        raise ConfigurationError(f"need 0 < lam_min < lam_max < inf, got ({lam_min}, {lam_max})")
     if steps < 2:
         raise ConfigurationError(f"need steps >= 2, got {steps}")
 

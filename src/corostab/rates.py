@@ -121,12 +121,8 @@ def _fd5(W, h):
     return (-W[0] + 16 * W[1] - 30 * W[2] + 16 * W[3] - W[4]) / (12.0 * h * h)
 
 
-def _require_compressible(model):
-    if model.incompressible:
-        raise UsageError(
-            f"model '{model.kind}' is incompressible; rate identities need the "
-            "pointwise stress, which requires a pressure history"
-        )
+# the refusal of every rate identity for an incompressible model
+_NEEDS_STRESS = "rate identities need the pointwise stress, which requires a pressure history"
 
 
 def csp_rate_form(model: MaterialModel, motion: MotionSample):
@@ -137,7 +133,7 @@ def csp_rate_form(model: MaterialModel, motion: MotionSample):
     chain rule through the model's exact stress Jacobian (``stress_jac``) and
     sums d_t[sigma_i] * lamdot_i / lam_i.  Returns (lhs, rhs, |lhs - rhs|).
     """
-    _require_compressible(model)
+    model.require(False, _NEEDS_STRESS)
     if not motion.is_diagonal:
         raise UsageError("the principal rate form needs a diagonal motion")
     lam, lamd, lamdd = (
@@ -162,7 +158,7 @@ def csp_rate_form(model: MaterialModel, motion: MotionSample):
 def first_piola_fd(model: MaterialModel, F):
     """First Piola stress D_F W by central differences on the energy in the
     nine matrix directions (one Richardson level)."""
-    _require_compressible(model)
+    model.require(False, _NEEDS_STRESS)
     F = np.asarray(F, dtype=float)
     h = 1e-6 * np.maximum(1.0, np.max(np.abs(F), axis=(-2, -1)))[..., None]
     steps = h * np.array([1.0, -1.0, 0.5, -0.5])
@@ -184,7 +180,7 @@ def _d2_along(model, F, X):
 
 def power_identity(model: MaterialModel, motion: MotionSample):
     """<S1, Fdot> against J <sigma, D>; returns (lhs, rhs, |lhs - rhs|)."""
-    _require_compressible(model)
+    model.require(False, _NEEDS_STRESS)
     S1 = first_piola_fd(model, motion.F)
     lhs = _contract(S1, motion.Fdot)
     sig = cauchy_of_F(model, motion.F)
@@ -201,7 +197,7 @@ def second_order_work_identity(model: MaterialModel, motion: MotionSample):
     <sigma, D> tr D) with sigma from the constitutive law and sigma_dot by
     time differencing.  Returns (referential, spatial, |difference|).
     """
-    _require_compressible(model)
+    model.require(False, _NEEDS_STRESS)
     F = motion.F
     ref = _d2_along(model, F, motion.Fdot) + _contract(first_piola_fd(model, F), motion.Fddot)
 
@@ -220,7 +216,7 @@ def second_order_work_identity(model: MaterialModel, motion: MotionSample):
 def energy_second_time_derivative(model: MaterialModel, motion: MotionSample):
     """Direct 5-point second derivative of t -> W(F(t)) on the Taylor path;
     independent oracle for both routes of second_order_work_identity."""
-    _require_compressible(model)
+    model.require(False, _NEEDS_STRESS)
     rate = np.maximum(1.0, _frobenius(motion.Fdot) + _frobenius(motion.Fddot))
     h = 1e-3 * (1.0 + _frobenius(motion.F)) / rate
     W = energy_from_F(model, motion.F_at(_fd5_steps(h)))

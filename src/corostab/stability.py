@@ -311,6 +311,16 @@ def _normal_eigenvalues(N, k):
     return np.moveaxis(y, 0, -1)
 
 
+def _require_unimodular(model, where, *x):
+    """The incompressible models' one state rule: their extra stress lives on
+    det V = 1, so a state of log-stretches ``x`` with |log det V| > 1e-8 is a
+    DomainError naming ``where``.  Compressible models take any state."""
+    if model.incompressible:
+        log_det = max((float(np.sum(v)) for v in x), key=abs)
+        if abs(log_det) > 1e-8:
+            raise DomainError(f"{where} needs det V = 1, got log det V = {log_det}")
+
+
 def _tangent(model, V):
     """The block tangent at V.  ``matrix`` is the block rotated into the lab
     frame, in basis6 coordinates, or in dev_basis5 ones for incompressible
@@ -318,9 +328,7 @@ def _tangent(model, V):
     lams, Q = eig_sym(V)
     if np.any(lams <= 0.0):
         raise DomainError("log V requires a positive-definite tensor")
-    log_det = float(np.sum(np.log(lams)))
-    if model.incompressible and abs(log_det) > 1e-8:
-        raise DomainError(f"hill_tangent needs det V = 1, got log det V = {log_det}")
+    _require_unimodular(model, "hill_tangent", np.log(lams))
     block = principal_block(model, lams)
     n = block.normal.shape[-1]
     frame = _FRAME if n == 3 else _FRAME[_DEV]
@@ -339,8 +347,7 @@ def tsts_tangent(model: MaterialModel, V) -> TangentMatrix6:
     ``two_point_monotonicity``.  Compressible models only; incompressible
     ones carry no pointwise Cauchy stress (see ``hill_tangent``).
     """
-    if model.incompressible:
-        raise UsageError(f"model '{model.kind}' is incompressible; use hill_tangent")
+    model.require(False, "use hill_tangent")
     return _tangent(model, V)
 
 
@@ -349,8 +356,7 @@ def hill_tangent(model: MaterialModel, V) -> TangentMatrix6:
     models, at a unimodular V.  The pressure only ever contributes a multiple
     of the identity, so the deviatoric block is gauge-free; trace-free
     perturbations of log V stay on the det V = 1 manifold."""
-    if not model.incompressible:
-        raise UsageError(f"model '{model.kind}' is compressible; use tsts_tangent")
+    model.require(True, "use tsts_tangent")
     return _tangent(model, V)
 
 
@@ -391,14 +397,9 @@ def two_point_monotonicity(model, V1, V2, measure="cauchy") -> float:
     if min(d1[-1], d2[-1]) <= 0.0:
         raise DomainError("log requires a positive-definite tensor")
     x1, x2 = np.log(d1), np.log(d2)
-    if model.incompressible:
-        if measure != "kirchhoff":
-            raise UsageError(
-                f"model '{model.kind}' is incompressible; only the kirchhoff "
-                "measure is defined (up to pressure)"
-            )
-        if max(abs(np.sum(x1)), abs(np.sum(x2))) > 1e-8:
-            raise DomainError("incompressible monotonicity needs det V = 1 states")
+    if measure != "kirchhoff":
+        model.require(False, "only the kirchhoff measure is defined (up to pressure)")
+    _require_unimodular(model, "two_point_monotonicity", x1, x2)
     law = _principal_law(model, measure)
     return float(_pair_values(law(x1), x1, law(x2), x2, (Q1.T @ Q2) ** 2))
 
@@ -421,10 +422,7 @@ def be_te_check(model, state: StretchState) -> BeTeResult:
     stretches held fixed and G = d sigma / d x the exact stress Jacobian.
     Both come from ``principal_block``.
     """
-    if model.incompressible:
-        raise UsageError(
-            f"model '{model.kind}' is incompressible; BE/TE need pointwise Cauchy stress"
-        )
+    model.require(False, "BE/TE need pointwise Cauchy stress")
     block = principal_block(model, state.as_array())
     be, te = float(block.be), float(block.te)
     return BeTeResult(be > HOLD_MARGIN, te > HOLD_MARGIN, be, te)
@@ -556,11 +554,7 @@ def lh_ellipticity_probe(model, state) -> ProbeResult:
     with det F > 0: by isotropy the minimum at F = U diag(lambda) V^T is the
     one at diag(lambda), with the witness rotated back to U xi, V eta.
     """
-    if model.incompressible:
-        raise UsageError(
-            f"model '{model.kind}' is incompressible; the rank-one minimum needs "
-            "the unconstrained energy"
-        )
+    model.require(False, "the rank-one minimum needs the unconstrained energy")
     F = state.as_array() if isinstance(state, StretchState) else np.asarray(state, dtype=float)
     if F.shape == (3,):
         U, lams, Vt = np.eye(3), StretchState(*F).as_array(), np.eye(3)
@@ -692,6 +686,8 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
         raise ConfigurationError(f"scan grid needs at least 1 point per axis, got {n}")
     if pairs < 0:
         raise ConfigurationError(f"scan needs pairs >= 0, got {pairs}")
+    if seed < 0:
+        raise ConfigurationError(f"scan needs seed >= 0, got {seed}")
     idx, states = _grid_states(grid)
     n_states = len(states)
     x = np.log(states)

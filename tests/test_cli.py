@@ -180,15 +180,16 @@ def test_config_file_and_overrides(tmp_path, capsys):
 
 
 def test_config_incompressible_mismatch(tmp_path, capsys):
+    # the flag is compared with the built model's regime, either way round
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({
-        "kind": "quadratic_hencky",
-        "parameters": {"E": 1.0, "nu": 0.3},
-        "incompressible": True,
-    }))
-    code, _, err = run_cli(capsys, "moduli", "--config", str(cfg), "--protocol", "uniaxial", "--at", "1.0")
-    assert code == 1
-    assert "incompressible" in err
+    for kind, parameters, flagged in (("quadratic_hencky", {"E": 1.0, "nu": 0.3}, True),
+                                      ("neo_hooke_incompressible", {"mu": 1.0}, False)):
+        cfg.write_text(json.dumps({"kind": kind, "parameters": parameters,
+                                   "incompressible": flagged}))
+        code, _, err = run_cli(capsys, "moduli", "--config", str(cfg), "--protocol", "uniaxial",
+                               "--at", "1.0")
+        assert code == 1
+        assert f"config 'incompressible'={flagged} contradicts kind '{kind}'" in err
 
 
 def test_malformed_config(tmp_path, capsys):
@@ -209,6 +210,27 @@ def test_config_parameters_must_be_numbers(tmp_path, capsys, parameters, named):
     # one error line naming the parameter, not a ValueError or TypeError traceback
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"kind": "quadratic_hencky", "parameters": parameters}))
+    code, out, err = run_cli(capsys, "moduli", "--config", str(cfg), "--protocol", "uniaxial",
+                             "--at", "1.0")
+    assert (code, out) == (1, "")
+    assert err.startswith("corostab: error:") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("config,named", [
+    (["kind"], "JSON object"),
+    ({"kind": 5, "incompressible": True}, "unknown model kind '5'"),
+    ({"kind": ["quadratic_hencky"]}, "unknown model kind"),
+    ({"kind": "quadratic_hencky", "parameters": {"E": 1, "nu": 0.3}, "incompressible": "no"},
+     "'incompressible' must be a boolean, got 'no'"),
+    ({"kind": "neo_hooke_incompressible", "parameters": {"mu": 1}, "incompressible": None},
+     "'incompressible' must be a boolean, got None"),
+    ({"kind": "neo_hooke_incompressible", "parameters": {"mu": 1}, "incompressible": 1},
+     "'incompressible' must be a boolean, got 1"),
+], ids=["list", "kind-number", "kind-list", "flag-text", "flag-null", "flag-number"])
+def test_config_must_be_an_object_with_a_boolean_regime(tmp_path, capsys, config, named):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "moduli", "--config", str(cfg), "--protocol", "uniaxial",
                              "--at", "1.0")
     assert (code, out) == (1, "")
@@ -308,6 +330,15 @@ def test_rate_verify_rejects_no_cases(capsys, cases):
     assert "--cases" in err
 
 
+@pytest.mark.parametrize("command", [("scan", "--grid", "0.5:2:3"), ("rate-verify",)],
+                         ids=["scan", "rate-verify"])
+def test_negative_seed_is_one_error_line(capsys, command):
+    code, out, err = run_cli(capsys, command[0], *QH, *command[1:], "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("corostab: error:") and err.count("\n") == 1
+    assert "seed" in err and "-1" in err
+
+
 def test_hydrostatic_incompressible_cli(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--model", "neo_hooke_incompressible", "--mu", "1",
@@ -341,11 +372,13 @@ def test_scan_incompressible_model(capsys):
 
 
 def test_rate_verify_rejects_incompressible(capsys):
-    code, _, err = run_cli(
+    # refused by the rule of the rate identities, before any output
+    code, out, err = run_cli(
         capsys, "rate-verify", "--model", "neo_hooke_incompressible", "--mu", "1",
     )
-    assert code == 1
-    assert "compressible" in err
+    assert code == 1 and out == ""
+    assert err == ("corostab: error: model 'neo_hooke_incompressible' is incompressible; rate "
+                   "identities need the pointwise stress, which requires a pressure history\n")
 
 
 def test_moduli_out_file(tmp_path, capsys):

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from corostab import materials as mat
-from corostab.errors import ConfigurationError, DomainError
+from corostab import rates
+from corostab.errors import ConfigurationError, DomainError, UsageError
 from corostab.materials import StretchState, instantiate_model
+from corostab.stability import (
+    be_te_check,
+    hill_tangent,
+    lh_ellipticity_probe,
+    tsts_tangent,
+    two_point_monotonicity,
+)
 
 from conftest import CATALOG_PARAMS, random_rotation
 from oracles import kirchhoff_extra_from_B, norm, principal_stresses, stretch_derivatives
@@ -462,3 +470,42 @@ def test_stretch_state_validation():
         StretchState(1.0, -1.0, 1.0)
     with pytest.raises(DomainError):
         StretchState(1.0, np.inf, 1.0)
+
+
+# --- the regime rule ------------------------------------------------------------
+
+_X0, _I3 = np.zeros(3), np.eye(3)
+_REST = rates.MotionSample(_I3, np.zeros((3, 3)), np.zeros((3, 3)))
+
+# every entry point that refuses a model of the other regime: whether it needs
+# an incompressible model, and a call at the reference state
+REGIME_ENTRIES = {
+    "extra_tau": (True, lambda m: m.extra_tau(_X0)),
+    "extra_tau_jac": (True, lambda m: m.extra_tau_jac(_X0)),
+    "hill_tangent": (True, lambda m: hill_tangent(m, _I3)),
+    "kirchhoff_principal": (False, lambda m: m.kirchhoff_principal(_X0)),
+    "cauchy_from_B": (False, lambda m: mat.cauchy_from_B(m, _I3)),
+    "csp_rate_form": (False, lambda m: rates.csp_rate_form(m, _REST)),
+    "first_piola_fd": (False, lambda m: rates.first_piola_fd(m, _I3)),
+    "power_identity": (False, lambda m: rates.power_identity(m, _REST)),
+    "second_order_work_identity": (False, lambda m: rates.second_order_work_identity(m, _REST)),
+    "energy_second_time_derivative": (False,
+                                      lambda m: rates.energy_second_time_derivative(m, _REST)),
+    "tsts_tangent": (False, lambda m: tsts_tangent(m, _I3)),
+    "two_point_monotonicity": (False, lambda m: two_point_monotonicity(m, _I3, _I3, "cauchy")),
+    "be_te_check": (False, lambda m: be_te_check(m, StretchState(1.0, 1.0, 1.0))),
+    "lh_ellipticity_probe": (False, lambda m: lh_ellipticity_probe(m, StretchState(1.0, 1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("entry", list(REGIME_ENTRIES))
+def test_wrong_regime_is_refused_by_the_rule(catalog, entry):
+    incompressible, call = REGIME_ENTRIES[entry]
+    for m in catalog.values():
+        if m.incompressible == incompressible:
+            call(m)  # the rule lets the right regime through
+            continue
+        regime = "incompressible" if m.incompressible else "compressible"
+        with pytest.raises(UsageError) as exc:
+            call(m)
+        assert str(exc.value).startswith(f"model '{m.kind}' is {regime}; ")

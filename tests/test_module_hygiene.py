@@ -6,7 +6,8 @@ through ``__all__``).  Every private top-level function, class or constant
 must be read somewhere in the package, and so must every name a submodule
 exports, unless ``corostab/__init__.py`` re-exports it.  Deleting a function
 leaves all four kinds of stale name behind, and no linter ships with the
-package.  The
+package.  A model's regime is refused in one place: no ``raise UsageError``
+outside ``MaterialModel.require`` words a message about compressibility.  The
 package imports only the standard library and the dependencies
 ``pyproject.toml`` declares; scipy, mpmath, sympy and hypothesis are for the
 tests alone.  Every backticked ``name(params)`` in README.md and PAPER.md
@@ -158,6 +159,31 @@ def test_no_unread_public_names():
         for name in _exports(tree) if (mod, name) not in read
     )
     assert not unread, f"exported names no package module reads: {unread}"
+
+
+def _usage_errors(node, scope=()):
+    """(qualified name of the enclosing def, text of the message) of every
+    ``raise UsageError(...)`` under ``node``; the text joins the string
+    constants of the call, f-string parts included."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = (*scope, child.name)
+        if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                and getattr(child.exc.func, "id", None) == "UsageError"):
+            text = " ".join(n.value for n in ast.walk(child.exc)
+                            if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            yield ".".join(inner), text
+        yield from _usage_errors(child, inner)
+
+
+def test_regime_is_refused_only_by_the_rule():
+    raised = [(f"{path.stem}.{where}", text) for path in SOURCES
+              for where, text in _usage_errors(_tree(path))]
+    assert len(raised) >= 5  # the walk sees the package's usage errors
+    stray = [f"{where}: {text!r}" for where, text in raised
+             if "compressible" in text and where != "materials.MaterialModel.require"]
+    assert not stray, f"regime refusals outside MaterialModel.require: {stray}"
 
 
 def _declared_dependencies():

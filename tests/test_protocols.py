@@ -369,6 +369,20 @@ def test_sweep_validates_grid(qh):
         sweep(qh, p, 0.5, 2.0, 1)
 
 
+@pytest.mark.parametrize("lam_min,lam_max", [(0.5, np.inf), (np.nan, 2.0), (0.5, np.nan)],
+                         ids=["inf", "nan-min", "nan-max"])
+def test_sweep_refuses_a_non_finite_bound_up_front(qh, lam_min, lam_max):
+    # the input check names the bound, not the first non-finite row's closure
+    with pytest.raises(ConfigurationError, match=r"need 0 < lam_min < lam_max < inf"):
+        sweep(qh, Protocol("uniaxial"), lam_min, lam_max, 4)
+
+
+@pytest.mark.parametrize("lam1", [np.inf, np.nan, 0.0, -1.0])
+def test_closure_refuses_a_stretch_that_is_not_positive_and_finite(qh, lam1):
+    with pytest.raises(ConfigurationError, match="driving stretch must be positive and finite"):
+        lateral_closure(qh, Protocol("uniaxial"), lam1)
+
+
 def test_sweep_matches_pointwise_closed_form(qh):
     tab = sweep(qh, Protocol("uniaxial"), 0.5, 4.0, 40, with_moduli=False)
     closed = tab.lambda1 ** -0.4 * np.log(tab.lambda1)
