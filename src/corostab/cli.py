@@ -157,7 +157,10 @@ def resolve_model(args):
 
 
 def _grid_triplet(args, what):
-    if args.grid:
+    ranged = [v is not None for v in (args.lambda_min, args.lambda_max, args.steps)]
+    if args.grid is not None:
+        if any(ranged):
+            raise UsageError(f"{what} takes --grid or --lambda-min/--lambda-max/--steps, not both")
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise UsageError(f"--grid must be a:b:n, got '{args.grid}'")
@@ -165,7 +168,7 @@ def _grid_triplet(args, what):
             return float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise UsageError(f"--grid must be a:b:n with numbers: {exc}") from exc
-    if args.lambda_min is None or args.lambda_max is None or args.steps is None:
+    if not all(ranged):
         raise UsageError(f"{what} needs --lambda-min/--lambda-max/--steps or --grid a:b:n")
     return args.lambda_min, args.lambda_max, args.steps
 
@@ -185,16 +188,13 @@ def _json_line(payload):
         raise DomainError(f"non-finite value in the result {payload}") from None
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_sweep(args):
     model = resolve_model(args)
     lam_min, lam_max, steps = _grid_triplet(args, "sweep")
     protocol = Protocol(args.protocol)
     table = sweep(model, protocol, lam_min, lam_max, steps, with_moduli=not args.no_moduli)
     _emit(table.to_csv(), args.out)
-    moduli = [] if args.no_moduli else [table.modulus_incr, table.modulus_incr_log]
-    check_finite(f"protocol '{protocol.kind}': ", "lambda1", table.lambda1, table.lambda_lateral,
-                 table.stress_driving, table.stress_biot, table.energy, *moduli)
+    table.require_finite(protocol.kind, not args.no_moduli)
     return 0
 
 
@@ -217,7 +217,6 @@ def _cmd_moduli(args):
     return 0
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_check(args):
     model = resolve_model(args)
     protocol = Protocol(args.protocol)
@@ -256,10 +255,9 @@ def _json_out_path(csv_path):
     return (base if ext == ".csv" else csv_path) + ".json"
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_scan(args):
     model = resolve_model(args)
-    ranged = args.grid or any(
+    ranged = args.grid is not None or any(
         v is not None for v in (args.lambda_min, args.lambda_max, args.steps)
     )
     grid = {"grid": _grid_triplet(args, "scan")} if ranged else {}  # else region_scan's default

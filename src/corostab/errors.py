@@ -1,7 +1,12 @@
-"""Exception hierarchy shared by all corostab modules, and the range check
-that reports non-finite results as a DomainError."""
+"""Exception hierarchy shared by all corostab modules, the floating-point
+policy and the range check that reports non-finite results as a DomainError."""
 
 import numpy as np
+
+# numpy's overflow, invalid and divide-by-zero warnings are silenced where the
+# library evaluates, and the result is judged instead.  A decorator only: numpy
+# refuses to enter one errstate twice with ``with``; each decorated call is new.
+quiet_fp = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class CorostabError(Exception):

@@ -28,6 +28,7 @@ does not affect any stress.
 
 from dataclasses import dataclass, fields
 from collections.abc import Mapping
+from numbers import Real
 from typing import ClassVar
 
 import numpy as np
@@ -494,8 +495,8 @@ def instantiate_model(kind: str, parameters: Mapping[str, float]) -> MaterialMod
     also (mu, kappa); incompressible kinds: mu or E = 3 mu), the parameters
     the kind also needs (k and khat for exp_hencky, k for
     exp_hencky_incompressible) and nothing else.  Any other map, an unknown
-    kind, a value that is not a number or one outside a model's constraints
-    is a ConfigurationError.
+    kind, a value that is not a real number (a bool or a numeric string is
+    not) or one outside a model's constraints is a ConfigurationError.
     """
     if not isinstance(kind, str) or kind not in _CATALOG:
         raise ConfigurationError(f"unknown model kind '{kind}' (known: {', '.join(MODEL_KINDS)})")
@@ -505,12 +506,11 @@ def instantiate_model(kind: str, parameters: Mapping[str, float]) -> MaterialMod
         )
     params = {}
     for name, value in parameters.items():
-        try:
-            params[name] = float(value)
-        except (TypeError, ValueError):
+        if isinstance(value, bool) or not isinstance(value, Real):
             raise ConfigurationError(
                 f"model '{kind}': parameter '{name}' must be a number, got {value!r}"
-            ) from None
+            )
+        params[name] = float(value)
     sets, extras, build = _CATALOG[kind]
     given = [names for names in sets if params.keys() >= set(names)]
     if len(given) != 1:

@@ -20,9 +20,10 @@ implicit-function theorem through the traction-free constraint, with the
 stress Jacobian of ``MaterialModel.stress_jac``.
 
 Every per-state quantity of a curve (lateral stretch, driving and Biot
-stress, energy, incremental moduli) comes from one batched evaluation at
-already-solved closures, ``_curve_rows``; ``sweep`` calls it on the whole
-grid and the single-state functions on one row.
+stress, energy, incremental moduli) comes from one ``stress_jac`` evaluation
+at already-solved stretches, ``_curve_rows``; ``sweep`` calls it on the
+whole grid and the single-state functions on one row.  ``CurveTable``
+states which of its columns must be finite.
 """
 
 import io
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SolverError, UsageError, check_finite
+from .errors import ConfigurationError, DomainError, SolverError, UsageError, check_finite, quiet_fp
 
 __all__ = [
     "CurveTable",
@@ -106,9 +107,6 @@ class LateralSolution:
     candidates: tuple = ()
 
 
-_UNSOLVED = LateralSolution(lam2=math.nan, lam3=math.nan, pressure=math.nan, residual=math.nan)
-
-
 def _residual_builder(model, kind, x1):
     """The log-stretch states of ``kind``'s compressible path at lateral
     log-stretch y, the traction-free stress r(y) there and its derivative;
@@ -178,31 +176,30 @@ def _solve_lateral(r, dr, kind, lam1, ref):
     """
     y_ref = math.log(ref)
     a, b, _ = _COMP_RATES[kind]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys = np.concatenate([_GRID, np.clip(y_ref + _WINDOW, _Y_LO, _Y_HI)])
-        vals = r(ys)
-        # r = tau_f / J: where J = exp(sum of x) or 1 / J is no normal double,
-        # r may under- or overflow, and an r of exactly 0 there is no root
-        in_range = np.abs(sum(a) * math.log(lam1) + sum(b) * ys) <= _X_RANGE
-        sign = np.where(np.isfinite(vals) & in_range, np.sign(vals), np.nan)  # NaN compares False
-        g = sign[:_SCAN_POINTS]
-        flip = g[:-1] * g[1:] < 0.0
-        closed = np.append(flip, True)  # the last grid point starts no cell
-        # merged order, grid first among equal points; cell = left grid point
-        order = np.argsort(ys, kind="stable")
-        cell = np.cumsum(order < _SCAN_POINTS) - 1
-        p, s = ys[order], sign[order]
-        hidden = ~closed[cell[:-1]] & (p[1:] > p[:-1]) & (s[:-1] * s[1:] < 0.0)
-        brackets = [*zip(_GRID[:-1][flip], _GRID[1:][flip]), *zip(p[:-1][hidden], p[1:][hidden])]
-        zeros = [*_GRID[g == 0.0], *p[~closed[cell] & (s == 0.0) & (p > _GRID[cell])]]
-        if not (brackets or zeros):
-            raise SolverError(
-                f"lateral root not bracketed for protocol '{kind}' at lambda1 = {lam1}; "
-                f"scanned lateral range [{math.exp(_GRID[0]):.3g}, {math.exp(_GRID[-1]):.3g}]",
-                scan=list(zip(np.exp(_GRID), vals[:_SCAN_POINTS])),
-            )
-        roots = sorted([_refine_root(r, dr, lo, hi) for lo, hi in brackets]
-                       + [float(z) for z in zeros])
+    ys = np.concatenate([_GRID, np.clip(y_ref + _WINDOW, _Y_LO, _Y_HI)])
+    vals = r(ys)
+    # r = tau_f / J: where J = exp(sum of x) or 1 / J is no normal double,
+    # r may under- or overflow, and an r of exactly 0 there is no root
+    in_range = np.abs(sum(a) * math.log(lam1) + sum(b) * ys) <= _X_RANGE
+    sign = np.where(np.isfinite(vals) & in_range, np.sign(vals), np.nan)  # NaN compares False
+    g = sign[:_SCAN_POINTS]
+    flip = g[:-1] * g[1:] < 0.0
+    closed = np.append(flip, True)  # the last grid point starts no cell
+    # merged order, grid first among equal points; cell = left grid point
+    order = np.argsort(ys, kind="stable")
+    cell = np.cumsum(order < _SCAN_POINTS) - 1
+    p, s = ys[order], sign[order]
+    hidden = ~closed[cell[:-1]] & (p[1:] > p[:-1]) & (s[:-1] * s[1:] < 0.0)
+    brackets = [*zip(_GRID[:-1][flip], _GRID[1:][flip]), *zip(p[:-1][hidden], p[1:][hidden])]
+    zeros = [*_GRID[g == 0.0], *p[~closed[cell] & (s == 0.0) & (p > _GRID[cell])]]
+    if not (brackets or zeros):
+        raise SolverError(
+            f"lateral root not bracketed for protocol '{kind}' at lambda1 = {lam1}; "
+            f"scanned lateral range [{math.exp(_GRID[0]):.3g}, {math.exp(_GRID[-1]):.3g}]",
+            scan=list(zip(np.exp(_GRID), vals[:_SCAN_POINTS])),
+        )
+    roots = sorted([_refine_root(r, dr, lo, hi) for lo, hi in brackets]
+                   + [float(z) for z in zeros])
     return min(roots, key=lambda y: abs(y - y_ref)), tuple(roots)
 
 
@@ -221,6 +218,7 @@ def _incompressible_kinematics(kind, lam1):
     return tuple(1.0 / lam1 if c == -1.0 else lam1 ** c for c in rates[1:])
 
 
+@quiet_fp
 def lateral_closure(model, protocol: Protocol, lam1, warm=None) -> LateralSolution:
     """Lateral stretches (lam2, lam3) and, for incompressible models, the
     pressure that close the protocol at driving stretch lam1.
@@ -237,8 +235,7 @@ def lateral_closure(model, protocol: Protocol, lam1, warm=None) -> LateralSoluti
     kind = protocol.kind
     if model.incompressible:
         lam2, lam3 = _incompressible_kinematics(kind, lam1)
-        with np.errstate(over="ignore", invalid="ignore"):  # a stress the pressure does not read
-            pressure = float(model.extra_tau(np.log([lam1, lam2, lam3]))[_COMP_RATES[kind][2]])
+        pressure = float(model.extra_tau(np.log([lam1, lam2, lam3]))[_COMP_RATES[kind][2]])
         check_finite(f"protocol '{kind}': ", "lambda1", np.array([lam1]), np.array([pressure]))
         return LateralSolution(lam2=lam2, lam3=lam3, pressure=pressure, residual=0.0)
     if kind == "hydrostatic":
@@ -263,17 +260,12 @@ def solved_state(model, protocol: Protocol, lam1, closure=None, warm=None, with_
     """Closure and curve row (a one-row ``CurveTable``) of the state lam1.
 
     The closure is ``closure`` when the caller has solved it, otherwise one
-    ``lateral_closure`` (``warm`` as there).  A stress, energy or modulus may
-    overflow on the way, so numpy's overflow and invalid-operation warnings
-    are silenced, and what counts is the result: a computed column that is
-    not finite (the modulus columns only ``with_moduli``) is a DomainError
-    naming the state."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if closure is None:
-            closure = lateral_closure(model, protocol, lam1, warm=warm)
-        row = _curve_rows(model, protocol, [lam1], [closure], with_moduli)
-    columns = [v for k, v in vars(row).items() if with_moduli or not k.startswith("modulus")]
-    check_finite(f"protocol '{protocol.kind}': ", "lambda1", row.lambda1, *columns)
+    ``lateral_closure`` (``warm`` as there).  A row that breaks
+    ``CurveTable.require_finite`` is a DomainError naming the state."""
+    if closure is None:
+        closure = lateral_closure(model, protocol, lam1, warm=warm)
+    row = _curve_rows(model, protocol, [[lam1, closure.lam2, closure.lam3]], with_moduli)
+    row.require_finite(protocol.kind, with_moduli)
     return closure, row
 
 
@@ -285,35 +277,13 @@ def driving_stress(model, protocol: Protocol, lam1, warm=None):
     return float(row.stress_driving[0]), closure
 
 
-def _log_slopes(model, protocol, x):
-    """d(driving stress)/d(log lambda1) along the protocol path at solved
-    log-stretches x of shape (..., 3).
-
-    With G = d s / d x from ``stress_jac``, compressible paths hold the lateral
-    stress at zero, so the implicit-function theorem gives
-    dy/dx1 = -(G a)_f / (G b)_f and the slope (G a)_1 + (G b)_1 dy/dx1; for
-    uniaxial that is G11 - (G12 + G13) G21 / (G22 + G23).  Incompressible
-    paths have closed kinematics and slope (G c)_1 - (G c)_f.
-    """
-    G = model.stress_jac(x)[1]
-    a, b, f = _COMP_RATES[protocol.kind]
-    if model.incompressible:
-        Gc = G @ np.array(_INCOMP_RATES[protocol.kind])
-        return Gc[..., 0] - Gc[..., f]
-    Ga = G @ np.array(a)
-    if b is None:
-        return Ga[..., 0]
-    Gb = G @ np.array(b)
-    return Ga[..., 0] - Gb[..., 0] * Ga[..., f] / Gb[..., f]
-
-
 def incremental_moduli(model, protocol: Protocol, lam1, closure=None):
     """Incremental modulus pair (slope form, log form) at lam1.
 
     modulus_incr = factor * d(driving stress)/d(lambda1) with the protocol's
     multiplicity factor; modulus_incr_log = lambda1 * modulus_incr =
     factor * d(driving stress)/d(log lambda1).  The slope is exact (see
-    ``_log_slopes``) at the closure of lam1: ``closure`` when the caller has
+    ``_curve_rows``) at the closure of lam1: ``closure`` when the caller has
     already solved it, otherwise one cold ``lateral_closure``.  A value
     beyond the double range is a DomainError (``solved_state``).
     """
@@ -359,32 +329,54 @@ class CurveTable:
         arr = np.array(rows, dtype=float).reshape(len(rows), 7)
         return cls(*(arr[:, i].copy() for i in range(7)))
 
+    def require_finite(self, protocol_kind, with_moduli=True):
+        """The one rule of which columns must be finite: every column, the
+        modulus columns only ``with_moduli``.  A row that breaks it is a
+        DomainError naming how many rows do and the first one's lambda1."""
+        columns = [v for k, v in vars(self).items() if with_moduli or not k.startswith("modulus")]
+        check_finite(f"protocol '{protocol_kind}': ", "lambda1", self.lambda1, *columns)
 
-def _curve_rows(model, protocol, lam1s, closures, with_moduli=True) -> CurveTable:
-    """Every curve column at driving stretches lam1s and their solved
-    closures, in one batched evaluation.  The modulus columns are NaN unless
-    ``with_moduli``."""
-    lam1 = np.asarray(lam1s, dtype=float)
-    lams = np.array([(l1, c.lam2, c.lam3) for l1, c in zip(lam1, closures)])
-    x = np.log(lams)
+
+@quiet_fp
+def _curve_rows(model, protocol, lams, with_moduli=True) -> CurveTable:
+    """Every curve column at solved stretches ``lams`` (n, 3) from one
+    evaluation s, G = ``stress_jac`` at x = log(lams); a row with NaN lateral
+    stretches is NaN but for lambda1, and so are the modulus columns unless
+    ``with_moduli``.
+
+    The driving stress is s_1 for compressible protocols and t_1 - t_f for
+    incompressible ones, the pressure being the extra stress t_f of the
+    traction-free axis f.  Its slope d/d(log lambda1) comes from G.
+    Compressible paths hold s_f at zero, so the implicit-function theorem
+    gives dy/dx1 = -(G a)_f / (G b)_f and the slope (G a)_1 + (G b)_1 dy/dx1;
+    for uniaxial that is G11 - (G12 + G13) G21 / (G22 + G23).
+    Incompressible paths have closed kinematics and slope (G c)_1 - (G c)_f.
+    """
+    lams = np.asarray(lams, dtype=float)
+    lam1 = lams[:, 0]
+    a, b, f = _COMP_RATES[protocol.kind]
+    s, G = model.stress_jac(np.log(lams))
     if model.incompressible:
-        drv = model.extra_tau(x)[:, 0] - np.array([c.pressure for c in closures])
+        drv = s[:, 0] - s[:, f]
         biot = drv / lam1
+        Gc = G @ np.array(_INCOMP_RATES[protocol.kind])
+        slope = Gc[:, 0] - Gc[:, f]
     else:
-        drv = model.cauchy_principal(x)[:, 0]
+        drv = s[:, 0]
         biot = lams[:, 1] * lams[:, 2] * drv
-    if with_moduli:
-        mod_log = MODULUS_FACTOR[protocol.kind] * _log_slopes(model, protocol, x)
-        mod = mod_log / lam1
-    else:
-        mod, mod_log = np.full((2, len(lam1)), np.nan)
+        Ga = G @ np.array(a)
+        slope = Ga[:, 0]
+        if b is not None:
+            Gb = G @ np.array(b)
+            slope = slope - Gb[:, 0] * Ga[:, f] / Gb[:, f]
+    mod_log = MODULUS_FACTOR[protocol.kind] * slope if with_moduli else np.full(len(lam1), np.nan)
     return CurveTable(
         lambda1=lam1,
-        lambda_lateral=lams[:, _COMP_RATES[protocol.kind][2]],
+        lambda_lateral=lams[:, f],
         stress_driving=drv,
         stress_biot=biot,
         energy=model.energy(lams),
-        modulus_incr=mod,
+        modulus_incr=mod_log / lam1,
         modulus_incr_log=mod_log,
     )
 
@@ -412,7 +404,7 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
     grid = np.asarray(grid)
 
     n = len(grid)
-    closures = [_UNSOLVED] * n
+    lams = np.column_stack([grid, np.full((n, 2), np.nan)])
     f = _COMP_RATES[protocol.kind][2]
     upper = [i for i in range(n) if grid[i] >= 1.0]
     lower = [i for i in range(n) if grid[i] < 1.0][::-1]
@@ -420,8 +412,9 @@ def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) 
         warm = 1.0
         for i in chain:
             try:
-                closures[i] = lateral_closure(model, protocol, float(grid[i]), warm=warm)
+                closure = lateral_closure(model, protocol, float(grid[i]), warm=warm)
             except (SolverError, DomainError):
                 continue
-            warm = (closures[i].lam2, closures[i].lam3)[f - 1]
-    return _curve_rows(model, protocol, grid, closures, with_moduli)
+            lams[i, 1:] = closure.lam2, closure.lam3
+            warm = float(lams[i, f])
+    return _curve_rows(model, protocol, lams, with_moduli)

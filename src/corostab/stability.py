@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UsageError
+from .errors import ConfigurationError, DomainError, UsageError, quiet_fp
 from .materials import MaterialModel, StretchState
 from .tensor3 import basis6, eig_sym
 
@@ -176,6 +176,7 @@ def principal_block(model: MaterialModel, lams) -> PrincipalBlock:
     return _principal_block(model, lams)[0]
 
 
+@quiet_fp
 def _principal_block(model, lams):
     """``principal_block`` and its rank-one candidates (None if incompressible)."""
     lams = np.asarray(lams, dtype=float)
@@ -221,6 +222,7 @@ def _principal_block(model, lams):
     return PrincipalBlock(normal, shear, csp, be, te, lh), candidates
 
 
+@quiet_fp
 def _normal_eigenvalues(N, k):
     """The k smallest eigenvalues of the normal block N, ascending.
 
@@ -258,55 +260,54 @@ def _normal_eigenvalues(N, k):
         mean, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), r)
         return np.stack([mean - radius, mean + radius], axis=-1)[..., :k]
     entries = (p, q, r, N[..., 0, 2], N[..., 1, 2], N[..., 2, 2])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # times 2^-e, 2^e just above the largest entry (2^-e finite for e >= -1021)
-        e = np.maximum(np.frexp(np.max(np.abs(np.stack(entries)), axis=0))[1], -1021)
-        p, q, r, b0, b1, d = (v * np.ldexp(1.0, -e) for v in entries)
-        mean, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), r)
-        a1, a2 = mean - radius, mean + radius
-        phi = 0.5 * np.arctan2(2.0 * r, p - q)  # a_2 has the eigenvector (cos phi, sin phi)
-        cos, sin = np.cos(phi), np.sin(phi)
-        beta1, beta2 = cos * b1 - sin * b0, cos * b0 + sin * b1
-        w1, w2 = beta1 * beta1, beta2 * beta2
-        norm_b = np.hypot(b0, b1)
-        same, one = a1 == a2, np.ones(d.shape)
-        # (sign, c, w_c, o, w_o, d, lo, hi) of each root, for N or, with sign -1, -N
-        low = np.minimum(a1, d)
-        roots = [(one, a1, np.where(same, w1 + w2, w1), np.where(same, np.inf, a2), w2, d,
-                  low - norm_b, low)]
-        if k > 1:
-            med = np.minimum(np.maximum(d, a1), a2)
-            lo, hi = np.maximum(med - norm_b, a1), np.minimum(med + norm_b, a2)
-            m = 0.5 * (lo + hi)
-            right = d - m - w1 / (a1 - m) - w2 / (a2 - m) > 0.0  # f(m) > 0: root 2 > m
-            roots.append((np.where(right, 1.0, -1.0), np.where(right, a2, -a1),
-                          np.where(right, w2, w1), np.where(right, a1, -a2),
-                          np.where(right, w1, w2), np.where(right, d, -d),
-                          np.where(right, m, -m), np.where(right, hi, -lo)))
-        if k > 2:
-            top = np.maximum(a2, d)
-            roots.append((-one, -a2, np.where(same, w1 + w2, w2), np.where(same, np.inf, -a1), w1, -d,
-                          -(top + norm_b), -np.maximum(top - norm_b, a2)))
-        sign, c, wc, o, wo, vol, lo, hi = (np.concatenate([np.ravel(v) for v in col])
-                                          for col in zip(*roots))
-        tol = _EPS * np.maximum(np.tile(np.ravel(norm_b), k), np.maximum(np.abs(lo), np.abs(hi)))
-        y = lo.copy()
-        at = np.flatnonzero(hi - lo > tol)  # a shut bracket is its root
-        c, wc, o, wo, vol, hi, tol, x = (v.take(at) for v in (c, wc, o, wo, vol, hi, tol, lo))
-        for _ in range(_SECULAR_STEPS):
-            if not at.size:
-                break
-            t = wo / (o - x)
-            h = vol - x - t  # f(x) + w_c / (c - x)
-            cx = c - x
-            step = (cx * h - wc) / (h + cx * (1.0 + t / (o - x)))  # -g(x) / g'(x)
-            x = np.minimum(x + step, hi)
-            y[at] = x
-            moving = np.abs(step) > tol  # False for NaN
-            if not np.all(moving):
-                keep = np.flatnonzero(moving)
-                at, c, wc, o, wo, vol, hi, tol, x = (
-                    v.take(keep) for v in (at, c, wc, o, wo, vol, hi, tol, x))
+    # times 2^-e, 2^e just above the largest entry (2^-e finite for e >= -1021)
+    e = np.maximum(np.frexp(np.max(np.abs(np.stack(entries)), axis=0))[1], -1021)
+    p, q, r, b0, b1, d = (v * np.ldexp(1.0, -e) for v in entries)
+    mean, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), r)
+    a1, a2 = mean - radius, mean + radius
+    phi = 0.5 * np.arctan2(2.0 * r, p - q)  # a_2 has the eigenvector (cos phi, sin phi)
+    cos, sin = np.cos(phi), np.sin(phi)
+    beta1, beta2 = cos * b1 - sin * b0, cos * b0 + sin * b1
+    w1, w2 = beta1 * beta1, beta2 * beta2
+    norm_b = np.hypot(b0, b1)
+    same, one = a1 == a2, np.ones(d.shape)
+    # (sign, c, w_c, o, w_o, d, lo, hi) of each root, for N or, with sign -1, -N
+    low = np.minimum(a1, d)
+    roots = [(one, a1, np.where(same, w1 + w2, w1), np.where(same, np.inf, a2), w2, d,
+              low - norm_b, low)]
+    if k > 1:
+        med = np.minimum(np.maximum(d, a1), a2)
+        lo, hi = np.maximum(med - norm_b, a1), np.minimum(med + norm_b, a2)
+        m = 0.5 * (lo + hi)
+        right = d - m - w1 / (a1 - m) - w2 / (a2 - m) > 0.0  # f(m) > 0: root 2 > m
+        roots.append((np.where(right, 1.0, -1.0), np.where(right, a2, -a1),
+                      np.where(right, w2, w1), np.where(right, a1, -a2),
+                      np.where(right, w1, w2), np.where(right, d, -d),
+                      np.where(right, m, -m), np.where(right, hi, -lo)))
+    if k > 2:
+        top = np.maximum(a2, d)
+        roots.append((-one, -a2, np.where(same, w1 + w2, w2), np.where(same, np.inf, -a1), w1, -d,
+                      -(top + norm_b), -np.maximum(top - norm_b, a2)))
+    sign, c, wc, o, wo, vol, lo, hi = (np.concatenate([np.ravel(v) for v in col])
+                                      for col in zip(*roots))
+    tol = _EPS * np.maximum(np.tile(np.ravel(norm_b), k), np.maximum(np.abs(lo), np.abs(hi)))
+    y = lo.copy()
+    at = np.flatnonzero(hi - lo > tol)  # a shut bracket is its root
+    c, wc, o, wo, vol, hi, tol, x = (v.take(at) for v in (c, wc, o, wo, vol, hi, tol, lo))
+    for _ in range(_SECULAR_STEPS):
+        if not at.size:
+            break
+        t = wo / (o - x)
+        h = vol - x - t  # f(x) + w_c / (c - x)
+        cx = c - x
+        step = (cx * h - wc) / (h + cx * (1.0 + t / (o - x)))  # -g(x) / g'(x)
+        x = np.minimum(x + step, hi)
+        y[at] = x
+        moving = np.abs(step) > tol  # False for NaN
+        if not np.all(moving):
+            keep = np.flatnonzero(moving)
+            at, c, wc, o, wo, vol, hi, tol, x = (
+                v.take(keep) for v in (at, c, wc, o, wo, vol, hi, tol, x))
     y = np.ldexp(sign * y, np.tile(np.ravel(e), k)).reshape((k,) + d.shape)
     return np.moveaxis(y, 0, -1)
 
@@ -664,6 +665,7 @@ def _grid_states(grid):
     return idx, states
 
 
+@quiet_fp
 def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityReport:
     """Evaluate every stability check on a cubic stretch grid.
 

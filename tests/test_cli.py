@@ -205,7 +205,10 @@ def test_malformed_config(tmp_path, capsys):
     ({"E": "abc", "nu": 0.3}, "'E'"),
     ({"E": 1.0, "nu": None}, "'nu'"),
     ([1, 2], "'parameters'"),
-], ids=["text", "null", "list"])
+    # float() took JSON true and "1e0" as E = 1, and moduli exited 0
+    ({"E": True, "nu": 0.3}, "parameter 'E' must be a number"),
+    ({"E": "1e0", "nu": 0.3}, "parameter 'E' must be a number"),
+], ids=["text", "null", "list", "bool", "numeric-text"])
 def test_config_parameters_must_be_numbers(tmp_path, capsys, parameters, named):
     # one error line naming the parameter, not a ValueError or TypeError traceback
     cfg = tmp_path / "model.json"
@@ -295,7 +298,9 @@ def test_unsolvable_closure_names_stretch(capsys):
     (("--grid", "0.5:3:-1"), "at least 1 point"),
     (("--grid", "0:3:3"), "stretches > 0"),
     (("--grid", "0.5:3:5", "--pairs", "-1"), "pairs >= 0"),
-], ids=["negative-count", "zero-stretch", "negative-pairs"])
+    # an empty --grid ran the default grid and exited 0
+    (("--grid", ""), "--grid must be a:b:n, got ''"),
+], ids=["negative-count", "zero-stretch", "negative-pairs", "empty-grid"])
 def test_scan_rejects_bad_grid_and_pairs(capsys, flags, what):
     code, out, err = run_cli(capsys, "scan", *QH, *flags)
     assert code == 1 and out == ""
@@ -310,6 +315,20 @@ def test_scan_small_valid_stretches_pass_validation(capsys):
     # check must not be what stops it
     _, _, err = run_cli(capsys, "scan", *QH, "--grid", "0.01:3:5")
     assert "scan grid" not in err
+
+
+@pytest.mark.parametrize("command", [("sweep", "--protocol", "uniaxial"), ("scan",)],
+                         ids=["sweep", "scan"])
+@pytest.mark.parametrize("flags", [
+    ("--lambda-min", "0.5", "--lambda-max", "2", "--steps", "3"),
+    ("--steps", "3"),
+], ids=["range", "steps"])
+def test_grid_with_range_flags_is_usage_error(capsys, command, flags):
+    # the range flags were dropped without a word and the --grid range ran
+    code, out, err = run_cli(capsys, *command, *QH, *flags, "--grid", "1:2:3")
+    assert code == 1 and out == ""
+    assert err.startswith("corostab: error:") and err.count("\n") == 1
+    assert "not both" in err
 
 
 @pytest.mark.parametrize("flags", [
@@ -520,6 +539,10 @@ NONFINITE_CASES = {
     "sweep": (("sweep", "--model", "neo_hooke_incompressible", "--mu", "1",
                "--protocol", "uniaxial", "--grid", "0.5:1e200:3"),
               "2 of 4 states", "'uniaxial'"),
+    # 1 / lambda^2 of the rank-one stage underflows at lambda = 1e-300, and
+    # the scan printed numpy's divide-by-zero RuntimeWarning on stderr
+    "scan-underflow": (("scan", *QH, "--grid", "1e-300:1e300:3"),
+                       "19 of 27 states", "[1e-300, 1e-300, 1e-300]"),
     # lambda3 = lambda1^-2 leaves the floating-point range past lambda1 ~ 1e154;
     # the DomainError of the closed kinematics was the only output, no rows
     "sweep-out-of-range": (("sweep", "--model", "neo_hooke_incompressible", "--mu", "1",
@@ -561,7 +584,7 @@ def test_nonfinite_states_fail_after_output(capsys, tmp_path, command):
                                         "1.0,1.0,0.0,0.0,0.0,3.0,3.0",
                                         "5e+199,nan,nan,nan,nan,nan,nan",
                                         "1e+200,nan,nan,nan,nan,nan,nan"]
-    else:
+    elif command == "sweep":
         assert out.splitlines()[3:] == ["5e+199,1.414213562373095e-100,inf,inf,inf,inf,inf",
                                         "1e+200,1e-100,inf,inf,inf,inf,inf"]
         assert "lambda1 = 5e+199" in err

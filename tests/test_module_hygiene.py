@@ -186,6 +186,15 @@ def test_regime_is_refused_only_by_the_rule():
     assert not stray, f"regime refusals outside MaterialModel.require: {stray}"
 
 
+def test_cli_leaves_the_floating_point_policy_to_the_library():
+    # the library silences numpy's floating-point warnings where it evaluates
+    # (``errors.quiet_fp``); a CLI copy of that policy hid the library's gaps
+    tree = _tree(next(p for p in SOURCES if p.name == "cli.py"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"errstate", "seterr", "quiet_fp"}
+
+
 def _declared_dependencies():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     tomllib = pytest.importorskip("tomllib")

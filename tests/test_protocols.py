@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import mpmath
@@ -394,6 +395,22 @@ def test_exp_hencky_sweeps_monotone_all_protocols(exph):
     for kind in ("uniaxial", "equibiaxial", "planar", "hydrostatic"):
         tab = sweep(exph, Protocol(kind), 0.5, 4.0, 60, with_moduli=False)
         assert np.all(np.diff(tab.stress_driving) > 0), kind
+
+
+@pytest.mark.parametrize("kind,params,protocol,grid,first_bad", [
+    ("neo_hooke_incompressible", {"mu": 1.0}, "uniaxial", (1e100, 1e160), "2.564102564102564e+158"),
+    ("neo_hooke_vol_iso", {"mu": 1.0, "kappa": 3.0}, "hydrostatic", (1.0, 1e80),
+     "2.564102564102564e+78"),
+], ids=["incompressible", "hydrostatic"])
+def test_sweep_past_the_double_range_warns_nothing(kind, params, protocol, grid, first_bad):
+    # the stresses overflow past the first row: the library sweep leaked
+    # numpy's overflow warnings, which only the CLI silenced.  The rows are
+    # there, and the table's finite-column rule names the first bad one
+    table = sweep(instantiate_model(kind, params), Protocol(protocol), *grid, 40)
+    assert len(table.lambda1) == 40 and np.isfinite(table.stress_driving[0])
+    message = f"'{protocol}': 39 of 40 states have a non-finite value, the first at lambda1 = "
+    with pytest.raises(DomainError, match=re.escape(message + first_bad)):
+        table.require_finite(protocol)
 
 
 def test_incompressible_sweeps_monotone():

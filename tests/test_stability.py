@@ -582,9 +582,10 @@ def test_state_alone_is_its_batch_row(catalog, kind):
             continue
         protocol = Protocol(protocol_kind)
         closures = [lateral_closure(m, protocol, lam1) for lam1 in lam1s]
-        rows = prot._curve_rows(m, protocol, lam1s, closures)
-        for n, (lam1, closure) in enumerate(zip(lam1s, closures)):
-            row = prot._curve_rows(m, protocol, [lam1], [closure])
+        lams = [[lam1, c.lam2, c.lam3] for lam1, c in zip(lam1s, closures)]
+        rows = prot._curve_rows(m, protocol, lams)
+        for n, lam1 in enumerate(lam1s):
+            row = prot._curve_rows(m, protocol, lams[n:n + 1])
             for f in dataclasses.fields(rows):
                 got, want = getattr(row, f.name), getattr(rows, f.name)[n:n + 1]
                 assert got.tobytes() == want.tobytes(), (protocol_kind, f.name, lam1)
@@ -751,6 +752,15 @@ def test_region_scan_single_point_identity(catalog):
     assert rep.violation_count() == 0
     assert len(rep.states) == 1
     assert len(rep.pair_indices) == 0
+
+
+def test_region_scan_past_the_double_range_warns_nothing(catalog):
+    # exp(k |x|^2) overflows at every state: the library scan leaked numpy's
+    # overflow warning.  No margin is finite, so none is a violation
+    rep = region_scan(catalog["exp_hencky"], grid=(1e-100, 1e100, 3))
+    assert len(rep.states) == 27 and rep.violations == []
+    assert not np.any(np.isfinite(rep.csp_min_eig)) and not np.any(np.isfinite(rep.lh_min))
+    assert not np.any(rep.tsts_m_plus_ok | rep.hill_ok)
 
 
 def test_region_scan_deterministic(catalog):
