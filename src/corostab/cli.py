@@ -175,8 +175,11 @@ def _grid_triplet(args, what):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write '{out_path}': {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -32,7 +32,8 @@ class UsageError(CorostabError):
 
 
 class SolverError(CorostabError):
-    """Root solve failed.  Carries the bracket scan in ``scan`` when available."""
+    """Root solve failed.  Carries the residual scan in ``scan`` when available:
+    for a lateral closure, one (lateral stretch, tau_f) pair per grid point."""
 
     def __init__(self, message, scan=None):
         super().__init__(message)

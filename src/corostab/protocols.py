@@ -5,10 +5,11 @@ A ``Protocol`` names only the kind of test; whether its response is
 compressible or incompressible comes from the model
 (``MaterialModel.incompressible``).  Compressible protocols enforce
 traction-free lateral faces by one root solve, ``_solve_lateral``, for every
-caller: a batched residual scan in log-stretch space over a fixed grid plus a
-window around a reference lateral stretch, bisection and Newton polish of
-every bracketed root, and the root nearest the reference chosen.  The
-reference is 1 for a single state; a sweep marches outward from the
+caller: a batched scan in log-stretch space of the lateral Kirchhoff stress
+tau_f and its slope over a fixed grid, bisection and Newton polish of every
+bracketed root, and the root nearest a reference lateral stretch chosen.  The
+candidate roots depend on the state alone; the reference only chooses among
+them.  It is 1 for a single state; a sweep marches outward from the
 reference stretch and passes each row's lateral stretch to the next.
 Incompressible protocols have closed kinematics; the pressure is fixed by the
 traction-free direction, and hydrostatic tension is rejected there.
@@ -64,17 +65,13 @@ _X_RANGE = -math.log(sys.float_info.min)  # |log| of the smallest normal double
 # +-(log 1e3 + 6.9 * 2^k), k = -3..6: out to about 1e195, inside _X_RANGE
 _OUTER = _Y_HI + 6.9 * 2.0 ** np.arange(-3, 7)
 _GRID = np.concatenate([-_OUTER[::-1], np.linspace(_Y_LO, _Y_HI, 64), _OUTER])
-_SCAN_POINTS = len(_GRID)
-# offsets of the window points from the reference lateral log-stretch:
-# 0 and +-0.02 * 2^k, k = 0..9, ascending
-_WINDOW = 0.02 * np.concatenate([-(2.0 ** np.arange(9, -1, -1)), [0.0], 2.0 ** np.arange(10)])
 
 # Rates of the log-stretches x along a protocol path, per unit log(lambda1).
 # Compressible: x = a x1 + b y with y the solved lateral log-stretch and
-# f the lateral axis: traction-free, sigma_f(x) = 0, and the stretch reported
-# as lambda_lateral (lambda_2 on the hydrostatic path, which solves nothing).
-# Incompressible: x = c x1 and the driving stress is t_1 - t_f, with the
-# same f.
+# f the lateral axis: traction-free, tau_f(x) = J sigma_f(x) = 0, and the
+# stretch reported as lambda_lateral (lambda_2 on the hydrostatic path, which
+# solves nothing).  Incompressible: x = c x1 and the driving stress is
+# t_1 - t_f, with the same f.
 _COMP_RATES = {
     "uniaxial": ((1.0, 0.0, 0.0), (0.0, 1.0, 1.0), 1),
     "equibiaxial": ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0), 2),
@@ -109,8 +106,8 @@ class LateralSolution:
 
 def _residual_builder(model, kind, x1):
     """The log-stretch states of ``kind``'s compressible path at lateral
-    log-stretch y, the traction-free stress r(y) there and its derivative;
-    all three vectorized over y."""
+    log-stretch y, the traction-free Kirchhoff stress r(y) = tau_f there and
+    its derivative dr/dy; all three vectorized over y."""
     a, b, f = _COMP_RATES[kind]
     driven, solved = np.flatnonzero(a), np.flatnonzero(b)
 
@@ -122,17 +119,17 @@ def _residual_builder(model, kind, x1):
         return x
 
     def r(y):
-        return model.cauchy_principal(states(y))[..., f]
+        return model.kirchhoff_principal(states(y))[..., f]
 
     def dr(y):
-        return model.stress_jac(states(y))[1][..., f, solved].sum(axis=-1)
+        return model.ghat_hess(states(y))[..., f, solved].sum(axis=-1)
 
     return states, r, dr
 
 
 def _refine_root(r, dr, lo, hi):
-    """Bisection to a 1e-12 interval, then two Newton polishes kept inside the
-    bracket."""
+    """Bisection of r to a 1e-12 interval, then, unless the derivative ``dr``
+    is None, two Newton polishes kept inside the bracket."""
     flo = r(lo)
     y = 0.5 * (lo + hi)
     while hi - lo > 1e-12:
@@ -144,7 +141,7 @@ def _refine_root(r, dr, lo, hi):
             lo, flo = y, fy
         else:
             hi = y
-    for _ in range(2):
+    for _ in range(0 if dr is None else 2):
         fy = r(y)
         slope = dr(y)
         if slope == 0.0:
@@ -161,45 +158,42 @@ def _refine_root(r, dr, lo, hi):
 def _solve_lateral(r, dr, kind, lam1, ref):
     """Every lateral root found at lam1 and the one nearest the reference
     lateral stretch ``ref``: (chosen y, sorted candidate y's), y the lateral
-    log-stretch.
+    log-stretch.  The candidates depend on lam1 alone.
 
-    One residual evaluation covers the grid (64 points over [1e-3, 1e3] and
-    10 outer points past each end, out to about 1e195) and a window around
-    ref (ref and ref +- 0.02 * 2^k, k = 0..9, clipped to [1e-3, 1e3]).  A
-    grid cell whose ends differ in sign gives one root, bisected on the cell;
-    in every other cell, each window sub-cell whose ends differ in sign gives
-    one, bisected on the sub-cell, so two roots inside one cell are found
-    where the window sees them.  A point where r is
-    exactly zero is a root (window points only inside cells of the second
-    kind).  Points where r is not finite, or where J is beyond the normal
-    double range, bracket nothing.
+    One evaluation of r and dr covers the grid (64 points over [1e-3, 1e3]
+    and 10 outer points past each end, out to about 1e195).  A grid cell
+    whose ends differ in sign in r gives one root, bisected on the cell.  A
+    cell where r keeps its sign but dr changes it gives the root y* of dr,
+    bisected on the cell: where r(y*) has the other sign, the cell holds two
+    roots, bisected on [lo, y*] and [y*, hi]; where r(y*) is exactly zero,
+    y* is a double root.  A grid point where r is exactly zero is a root,
+    and a point where r or dr is not finite brackets nothing.  Limit: a cell
+    where dr changes sign twice, with r of one sign at both ends, still hides
+    a pair of roots.
     """
-    y_ref = math.log(ref)
-    a, b, _ = _COMP_RATES[kind]
-    ys = np.concatenate([_GRID, np.clip(y_ref + _WINDOW, _Y_LO, _Y_HI)])
-    vals = r(ys)
-    # r = tau_f / J: where J = exp(sum of x) or 1 / J is no normal double,
-    # r may under- or overflow, and an r of exactly 0 there is no root
-    in_range = np.abs(sum(a) * math.log(lam1) + sum(b) * ys) <= _X_RANGE
-    sign = np.where(np.isfinite(vals) & in_range, np.sign(vals), np.nan)  # NaN compares False
-    g = sign[:_SCAN_POINTS]
-    flip = g[:-1] * g[1:] < 0.0
-    closed = np.append(flip, True)  # the last grid point starts no cell
-    # merged order, grid first among equal points; cell = left grid point
-    order = np.argsort(ys, kind="stable")
-    cell = np.cumsum(order < _SCAN_POINTS) - 1
-    p, s = ys[order], sign[order]
-    hidden = ~closed[cell[:-1]] & (p[1:] > p[:-1]) & (s[:-1] * s[1:] < 0.0)
-    brackets = [*zip(_GRID[:-1][flip], _GRID[1:][flip]), *zip(p[:-1][hidden], p[1:][hidden])]
-    zeros = [*_GRID[g == 0.0], *p[~closed[cell] & (s == 0.0) & (p > _GRID[cell])]]
-    if not (brackets or zeros):
+    vals, slopes = r(_GRID), dr(_GRID)
+    sign = np.where(np.isfinite(vals), np.sign(vals), np.nan)  # NaN compares False
+    dsign = np.where(np.isfinite(slopes), np.sign(slopes), np.nan)
+    ends = sign[:-1] * sign[1:]
+    flip = ends < 0.0
+    turn = (ends > 0.0) & (dsign[:-1] * dsign[1:] < 0.0)
+    brackets = [*zip(_GRID[:-1][flip], _GRID[1:][flip])]
+    roots = [float(z) for z in _GRID[sign == 0.0]]
+    for lo, hi, s in zip(_GRID[:-1][turn], _GRID[1:][turn], sign[:-1][turn]):
+        y = _refine_root(dr, None, lo, hi)
+        ry = r(y)
+        if ry == 0.0:
+            roots.append(y)
+        elif ry * s < 0.0:
+            brackets += [(lo, y), (y, hi)]
+    if not (brackets or roots):
         raise SolverError(
             f"lateral root not bracketed for protocol '{kind}' at lambda1 = {lam1}; "
             f"scanned lateral range [{math.exp(_GRID[0]):.3g}, {math.exp(_GRID[-1]):.3g}]",
-            scan=list(zip(np.exp(_GRID), vals[:_SCAN_POINTS])),
+            scan=list(zip(np.exp(_GRID), vals)),
         )
-    roots = sorted([_refine_root(r, dr, lo, hi) for lo, hi in brackets]
-                   + [float(z) for z in zeros])
+    roots = sorted(roots + [_refine_root(r, dr, lo, hi) for lo, hi in brackets])
+    y_ref = math.log(ref)
     return min(roots, key=lambda y: abs(y - y_ref)), tuple(roots)
 
 
@@ -223,12 +217,13 @@ def lateral_closure(model, protocol: Protocol, lam1, warm=None) -> LateralSoluti
     """Lateral stretches (lam2, lam3) and, for incompressible models, the
     pressure that close the protocol at driving stretch lam1.
 
-    Compressible closures take the root nearest a reference lateral stretch
-    (see ``_solve_lateral``): ``warm`` if given, as a sweep passes its
-    previous row, otherwise 1, the reference state's.  ``warm`` moves only
-    that reference; every candidate root is found the same way.  An
-    incompressible pressure beyond the double range is a DomainError naming
-    the state; the extra stresses it does not read may overflow unseen.
+    Compressible closures find every candidate root of tau_f from lam1
+    alone and take the one nearest a reference lateral stretch (see
+    ``_solve_lateral``): ``warm`` if given, as a sweep passes its previous
+    row, otherwise 1, the reference state's.  ``warm`` only chooses among the
+    candidates.  An incompressible pressure beyond the double range is a
+    DomainError naming the state; the extra stresses it does not read may
+    overflow unseen.
     """
     if lam1 <= 0.0 or not np.isfinite(lam1):
         raise ConfigurationError(f"driving stretch must be positive and finite, got {lam1}")
@@ -383,8 +378,8 @@ def _curve_rows(model, protocol, lams, with_moduli=True) -> CurveTable:
 
 def sweep(model, protocol: Protocol, lam_min, lam_max, steps, with_moduli=True) -> CurveTable:
     """Sweep the protocol over a stretch grid, marching outward from the
-    reference state in both directions; each closure takes the root nearest
-    the last solved lateral stretch.
+    reference state in both directions; each closure takes, among the roots
+    of its state, the one nearest the last solved lateral stretch.
 
     The grid is linspace(lam_min, lam_max, steps); 1.0 is inserted when the
     range straddles it so the reference row exists and seeds the continuation.

@@ -693,3 +693,19 @@ def test_rate_verify_stacks_are_bounded(monkeypatch, capsys):
     assert sizes == [cli._RATE_BLOCK, cli._RATE_BLOCK, 250 - 2 * cli._RATE_BLOCK]
     worst = json.loads(out)["max_residuals"]
     assert all(worst[k] >= head[k] for k in head)
+
+
+@pytest.mark.parametrize("command", [
+    ("sweep", "--protocol", "uniaxial", "--grid", "0.5:2:3"),
+    ("scan", "--grid", "0.5:2:3"),
+    ("check", "--protocol", "uniaxial", "--at", "1.5"),
+    ("moduli", "--protocol", "uniaxial", "--at", "1.5"),
+    ("rate-verify", "--cases", "2"),
+], ids=["sweep", "scan", "check", "moduli", "rate-verify"])
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, command):
+    # a path that cannot be opened for writing is refused like an unreadable
+    # --config: exit 1 with one line, no traceback
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, command[0], *QH, *command[1:], "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"corostab: error: cannot write '{path}': No such file or directory\n"

@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 
 from corostab import materials as mat
 from corostab import protocols as proto
+from corostab.cli import main
 from corostab.errors import ConfigurationError, DomainError, SolverError, UsageError
 from corostab.materials import instantiate_model
 from corostab.protocols import (
@@ -137,9 +139,10 @@ FOLD = {"E": 1.0, "nu": -0.4, "k": 0.5, "khat": 2.0}
     ("planar", {1.4125: 1.2385891355, 1.425: 0.2023041236}),
 ])
 def test_sweep_follows_its_branch_to_the_fold(kind, rows):
-    # the window around the previous row's lateral stretch finds the root the
-    # march is on even where a second root shares its grid cell; past the
-    # fold the nearest remaining root is taken
+    # every closure lists each root of its state, a second root in the same
+    # grid cell included (the sign change of dr/dy there splits the cell), so
+    # the march stays on its branch to the fold; past the fold the nearest
+    # remaining root is taken
     m = instantiate_model("exp_hencky", FOLD)
     tab = sweep(m, Protocol(kind), 0.5, 3.0, 201, with_moduli=False)
     for lam1, lateral in rows.items():
@@ -149,14 +152,57 @@ def test_sweep_follows_its_branch_to_the_fold(kind, rows):
 
 def test_close_roots_in_one_grid_cell_are_candidates():
     # the roots 1.01329 and 1.08311 lie in one 0.22-wide grid cell of
-    # log(lateral), which the grid alone sees as one without a sign change;
-    # the window around the reference 1 brackets both, and the one nearest 1
-    # is chosen (a 200,001-point scan finds the same three roots)
+    # log(lateral) with one sign of the residual at both ends; the residual's
+    # slope changes sign in the cell and the residual at the slope's root has
+    # the other sign, which brackets both, and the one nearest 1 is chosen (a
+    # 200,001-point scan finds the same three roots)
     m = instantiate_model("neo_hooke_vol_iso", {"mu": 1.14437, "kappa": 3.26721})
     c = lateral_closure(m, Protocol("uniaxial"), 0.326254)
     np.testing.assert_allclose(c.candidates, (0.4177216021, 1.0132881157, 1.0831167153),
                                rtol=0, atol=1e-9)
     assert c.lam2 == c.lam3 == c.candidates[1]
+
+
+@pytest.mark.parametrize("kind,params,protocol,lam1,fold", [
+    ("neo_hooke_vol_iso", {"mu": 1.14437, "kappa": 3.26721}, "uniaxial", 0.326254, False),
+    ("exp_hencky", FOLD, "uniaxial", 1.175, True),
+    ("exp_hencky", FOLD, "planar", 1.4125, True),
+], ids=["close-roots", "fold-uniaxial", "fold-planar"])
+def test_candidates_do_not_depend_on_the_reference(capsys, kind, params, protocol, lam1, fold):
+    # the reference only chooses among the candidates, so a cold closure, a
+    # sweep row and a closure warmed anywhere list the same roots; a lone
+    # check or moduli at a fold row then equals its sweep row to the bit
+    m = instantiate_model(kind, params)
+    p = Protocol(protocol)
+    cold = lateral_closure(m, p, lam1)
+    assert len(cold.candidates) == 3
+    for warm in (1e-3, 0.05, 3.0, 20.0, 1e3):
+        assert lateral_closure(m, p, lam1, warm=warm).candidates == cold.candidates, warm
+    if not fold:
+        return
+    flags = ["--model", kind, *(f"--{k}={v}" for k, v in params.items()), "--protocol", protocol]
+    assert main(["sweep", *flags, "--grid", "0.5:3:201"]) == 0
+    tab = CurveTable.from_csv(capsys.readouterr().out)
+    (i,) = np.flatnonzero(tab.lambda1 == lam1)
+    assert main(["check", *flags, "--at", str(lam1)]) == 0
+    state = json.loads(capsys.readouterr().out)
+    assert main(["moduli", *flags, "--at", str(lam1)]) == 0
+    moduli = json.loads(capsys.readouterr().out)
+    assert state["state"][1] == tab.lambda_lateral[i]
+    for column in ("stress_driving", "stress_biot", "energy", "modulus_incr", "modulus_incr_log"):
+        assert state[column] == getattr(tab, column)[i], column
+    for column in ("modulus_incr", "modulus_incr_log"):
+        assert moduli[column] == getattr(tab, column)[i], column
+
+
+@pytest.mark.parametrize("E", [1.0, 1e300])
+def test_reference_state_closes_at_any_stress_scale(E):
+    # tau_f scales with E and its root does not: the reference state closes
+    # at lateral stretch 1 at E = 1e300 as at E = 1
+    m = instantiate_model("quadratic_hencky", {"E": E, "nu": 0.3})
+    for kind in ("uniaxial", "equibiaxial", "planar"):
+        c = lateral_closure(m, Protocol(kind), 1.0)
+        assert (c.lam2, c.lam3) == (1.0, 1.0), kind
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -222,8 +268,8 @@ def test_unsolvable_closure_reports_scan():
         lateral_closure(qh, Protocol("equibiaxial"), 1e120)
     assert len(exc.value.scan) == 84
     assert exc.value.scan[0][0] == pytest.approx(1.64e-195, rel=1e-2)
-    # where J = exp(sum of x) leaves the normal double range, sigma = tau / J
-    # underflows to an exact 0 that is no root: one candidate, not also 6e194
+    # the residual is tau_f, which has no 1 / J to underflow where J leaves
+    # the normal double range: one candidate, not also 6e194
     assert len(lateral_closure(qh, Protocol("uniaxial"), 2.0).candidates) == 1
 
 
