@@ -13,7 +13,8 @@ Usage:
 Models may also come from a JSON config file (--config) with keys
 {"kind", "parameters", "incompressible"}; inline flags override file values.
 Outputs are deterministic for identical configuration and seed: CSV numbers
-use the shortest round-trip float representation, JSON keys are sorted.
+use the shortest round-trip float representation, JSON keys are sorted
+(``errors.csv_text`` and ``errors.json_text`` state the format).
 
 Exit status: 0 success; 1 usage, configuration, solver or domain error (sweep
 and scan after their output when a computed value is not finite); 2 when
@@ -32,7 +33,7 @@ import sys
 
 import numpy as np
 
-from .errors import CorostabError, ConfigurationError, DomainError, UsageError, check_finite
+from .errors import CorostabError, ConfigurationError, UsageError, check_finite, json_text
 from .materials import MODEL_KINDS, PARAMETER_NAMES, StretchState, instantiate_model
 from .protocols import PROTOCOL_KINDS, Protocol, solved_state, sweep
 from .rates import (
@@ -184,13 +185,6 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _json_line(payload):
-    try:  # strict JSON: a non-finite number is an error, never an Infinity token
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    except ValueError:
-        raise DomainError(f"non-finite value in the result {payload}") from None
-
-
 def _cmd_sweep(args):
     model = resolve_model(args)
     lam_min, lam_max, steps = _grid_triplet(args, "sweep")
@@ -206,7 +200,7 @@ def _cmd_moduli(args):
     protocol = Protocol(args.protocol)
     _, row = solved_state(model, protocol, args.at)
     _emit(
-        _json_line(
+        json_text(
             {
                 "lambda1": args.at,
                 "model": model.kind,
@@ -214,7 +208,7 @@ def _cmd_moduli(args):
                 "modulus_incr": float(row.modulus_incr[0]),
                 "modulus_incr_log": float(row.modulus_incr_log[0]),
             }
-        ),
+        ) + "\n",
         args.out,
     )
     return 0
@@ -247,7 +241,7 @@ def _cmd_check(args):
         },
         "violations": violations,
     }
-    _emit(_json_line(report), args.out)
+    _emit(json_text(report) + "\n", args.out)
     if args.expect_stable and violations:
         return 2
     return 0
@@ -321,7 +315,7 @@ def _cmd_rate_verify(args):
     tolerances = {"power": 1e-8, "second_order_three_way": 1e-5, "rate_form": 1e-6}
     ok = all(worst[k] <= tolerances[k] for k in worst)
     _emit(
-        _json_line(
+        json_text(
             {
                 "model": model.kind,
                 "cases": args.cases,
@@ -330,7 +324,7 @@ def _cmd_rate_verify(args):
                 "tolerances": tolerances,
                 "ok": ok,
             }
-        ),
+        ) + "\n",
         args.out,
     )
     return 0 if ok else 1

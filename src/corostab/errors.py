@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all corostab modules, the floating-point
-policy and the range check that reports non-finite results as a DomainError."""
+policy, the range check that reports non-finite results as a DomainError and
+the output format: ``csv_text`` for the curve and scan tables, ``json_text``
+for every JSON line."""
+
+import json
 
 import numpy as np
 
@@ -47,3 +51,21 @@ def check_finite(where, name, states, *columns):
     if np.any(bad):
         raise DomainError(f"{where}{np.count_nonzero(bad)} of {bad.size} states have a non-finite "
                           f"value, the first at {name} = {states[np.argmax(bad)].tolist()}")
+
+
+def csv_text(columns):
+    """CSV text of a mapping of header names to equal-length columns: each
+    value the repr of its Python scalar (the shortest round-trip float, an
+    int; a bool column as 0 and 1), one line per row after the header."""
+    cols = [c.astype(int) if c.dtype == bool else c for c in map(np.asarray, columns.values())]
+    rows = zip(*(c.tolist() for c in cols))
+    return "\n".join([",".join(columns), *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
+def json_text(payload):
+    """Strict JSON text of ``payload``, keys sorted and no spaces; a
+    non-finite number is a DomainError, never an Infinity token."""
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise DomainError(f"non-finite value in the result {payload}") from None

@@ -48,14 +48,12 @@ attribute.  A condition holds when its margin exceeds -1e-9; a violation is
 witnessed only below -1e-7.
 """
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UsageError, quiet_fp
+from .errors import ConfigurationError, DomainError, UsageError, csv_text, json_text, quiet_fp
 from .materials import MaterialModel, StretchState
 from .tensor3 import basis6, eig_sym
 
@@ -584,12 +582,6 @@ def lh_ellipticity_probe(model, state) -> ProbeResult:
 
 # --- region scanner -------------------------------------------------------------
 
-_SCAN_CSV_HEADER = (
-    "i1,i2,i3,lambda1,lambda2,lambda3,csp_min_eig,be_margin,te_margin,"
-    "lh_min_probe,tsts_m_plus_ok,hill_ok"
-)
-
-
 @dataclass
 class StabilityReport:
     """Per-state stability margins on a stretch grid plus sampled two-point
@@ -621,25 +613,12 @@ class StabilityReport:
         return self.counts[check]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(_SCAN_CSV_HEADER + "\n")
-        for n in range(len(self.states)):
-            row = [
-                str(int(self.indices[n, 0])),
-                str(int(self.indices[n, 1])),
-                str(int(self.indices[n, 2])),
-                repr(float(self.states[n, 0])),
-                repr(float(self.states[n, 1])),
-                repr(float(self.states[n, 2])),
-                repr(float(self.csp_min_eig[n])),
-                repr(float(self.be_margin[n])),
-                repr(float(self.te_margin[n])),
-                repr(float(self.lh_min[n])),
-                str(int(self.tsts_m_plus_ok[n])),
-                str(int(self.hill_ok[n])),
-            ]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        columns = dict(zip(("i1", "i2", "i3", "lambda1", "lambda2", "lambda3"),
+                           [*self.indices.T, *self.states.T]))
+        columns.update(csp_min_eig=self.csp_min_eig, be_margin=self.be_margin,
+                       te_margin=self.te_margin, lh_min_probe=self.lh_min,
+                       tsts_m_plus_ok=self.tsts_m_plus_ok, hill_ok=self.hill_ok)
+        return csv_text(columns)
 
     def to_json_summary(self) -> str:
         payload = {
@@ -654,7 +633,7 @@ class StabilityReport:
             },
             "violations": self.violations,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return json_text(payload)
 
 
 def _grid_states(grid):
@@ -705,16 +684,17 @@ def region_scan(model, grid=(0.5, 3.0, 11), seed=0, pairs=128) -> StabilityRepor
     while len(pair_idx) < n_pairs:
         draw = rng.integers(0, n_states, size=(n_pairs - len(pair_idx), 2))
         pair_idx = np.concatenate([pair_idx, draw[draw[:, 0] != draw[:, 1]]])
-    # grid states are coaxial: P = I
-    first, second = pair_idx.T
-    xu = x - np.mean(x, axis=-1, keepdims=True)
+    # both laws read the drawn states alone, (pairs, 2, 3); grid states are
+    # coaxial: P = I
+    xp = x[pair_idx]
+    xu = xp - np.mean(xp, axis=-1, keepdims=True)
     tau_u = _principal_law(model, "kirchhoff")(xu)
-    hill_vals = _pair_values(tau_u[first], xu[first], tau_u[second], xu[second], np.eye(3))
+    hill_vals = _pair_values(tau_u[:, 0], xu[:, 0], tau_u[:, 1], xu[:, 1], np.eye(3))
     if model.incompressible:
         tsts_vals = hill_vals
     else:
-        sig = _principal_law(model, "cauchy")(x)
-        tsts_vals = _pair_values(sig[first], x[first], sig[second], x[second], np.eye(3))
+        sig = _principal_law(model, "cauchy")(xp)
+        tsts_vals = _pair_values(sig[:, 0], xp[:, 0], sig[:, 1], xp[:, 1], np.eye(3))
 
     margins = np.stack([getattr(block, check) for check in _POINT_CHECKS], axis=-1)
     pair_margins = np.stack([tsts_vals, hill_vals], axis=-1)

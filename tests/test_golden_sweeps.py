@@ -114,6 +114,12 @@ The largest change is 3.1e-15 relative; the old values are within 3.6e-15
 of the reference, the new ones within 2.7e-15.  Against the 50-digit
 eigenvalue of the same double-precision block, the old values are within
 1.2 and the new ones within 0.73 eps times the block's largest entry.
+
+The two ``scan`` CSVs and the overflowing ``sweep`` CSV were written at
+commit 12cfcab, before one writer (``errors.csv_text``) formatted the rows of
+both tables; that change must not move a byte.  They pin what no file above
+does: the integer index and 0/1 columns of a scan, its ``nan`` te/lh columns
+for an incompressible model, and ``inf`` in the rows of a sweep that exits 1.
 """
 
 import json
@@ -206,3 +212,29 @@ def test_scan_summary_matches_golden(kind, params, protocol, lo, hi, tmp_path):
     assert main(argv) == 0
     _assert_same_json_bytes((tmp_path / "scan.json").read_bytes(),
                             (GOLDEN / f"{kind}-scan.json").read_bytes())
+
+
+SCAN_CSV_CASES = [
+    ("quadratic_hencky-scan.csv",
+     ("--model", "quadratic_hencky", "--E", "1", "--nu", "0.3", "--grid", "0.5:3:5")),
+    ("neo_hooke_incompressible-scan.csv",
+     ("--model", "neo_hooke_incompressible", "--mu", "1", "--grid", "0.5:3:3")),
+]
+
+
+@pytest.mark.parametrize("name,args", SCAN_CSV_CASES, ids=[c[0] for c in SCAN_CSV_CASES])
+def test_scan_csv_matches_golden(name, args, tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", *args, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_overflowing_sweep_csv_matches_golden(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--model", "neo_hooke_incompressible", "--mu", "1", "--protocol", "uniaxial",
+            "--grid", "1:1e200:3", "--out", str(out)]
+    assert main(argv) == 1
+    want = GOLDEN / "neo_hooke_incompressible-uniaxial-overflow.csv"
+    assert out.read_bytes() == want.read_bytes()
+    assert capsys.readouterr().err == ("corostab: error: protocol 'uniaxial': 2 of 3 states have "
+                                       "a non-finite value, the first at lambda1 = 5e+199\n")

@@ -161,20 +161,26 @@ def test_no_unread_public_names():
     assert not unread, f"exported names no package module reads: {unread}"
 
 
-def _usage_errors(node, scope=()):
-    """(qualified name of the enclosing def, text of the message) of every
-    ``raise UsageError(...)`` under ``node``; the text joins the string
-    constants of the call, f-string parts included."""
+def _scoped_nodes(node, scope=()):
+    """(qualified name of the enclosing def, node) of every node under
+    ``node``; a def's own name is part of its scope."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = (*scope, child.name)
-        if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
-                and getattr(child.exc.func, "id", None) == "UsageError"):
-            text = " ".join(n.value for n in ast.walk(child.exc)
-                            if isinstance(n, ast.Constant) and isinstance(n.value, str))
-            yield ".".join(inner), text
-        yield from _usage_errors(child, inner)
+        yield ".".join(inner), child
+        yield from _scoped_nodes(child, inner)
+
+
+def _usage_errors(tree):
+    """(qualified name of the enclosing def, text of the message) of every
+    ``raise UsageError(...)`` in ``tree``; the text joins the string
+    constants of the call, f-string parts included."""
+    for where, node in _scoped_nodes(tree):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "UsageError"):
+            yield where, " ".join(n.value for n in ast.walk(node.exc)
+                                  if isinstance(n, ast.Constant) and isinstance(n.value, str))
 
 
 def test_regime_is_refused_only_by_the_rule():
@@ -193,6 +199,26 @@ def test_cli_leaves_the_floating_point_policy_to_the_library():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not names & {"errstate", "seterr", "quiet_fp"}
+
+
+def _format_site(node):
+    """What of the output format ``node`` writes out: a JSON dump, a CSV
+    field join or the ``repr`` that formats a CSV value; None otherwise."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    if name in ("dump", "dumps", "repr"):
+        return name
+    if name == "join" and getattr(node.value, "value", None) == ",":
+        return '",".join'
+    return None
+
+
+def test_output_format_is_stated_once():
+    # the CSV and JSON format lives in ``errors.csv_text`` and
+    # ``errors.json_text``; a second copy of it could drift from them
+    sites = {(f"{path.stem}.{where}", what) for path in SOURCES
+             for where, node in _scoped_nodes(_tree(path)) if (what := _format_site(node))}
+    assert sites == {("errors.json_text", "dumps"), ("errors.csv_text", '",".join'),
+                     ("errors.csv_text", "repr")}
 
 
 def _declared_dependencies():

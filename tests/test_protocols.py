@@ -430,6 +430,12 @@ def test_closure_refuses_a_stretch_that_is_not_positive_and_finite(qh, lam1):
         lateral_closure(qh, Protocol("uniaxial"), lam1)
 
 
+@pytest.mark.parametrize("warm", [0.0, -1.0, np.nan, np.inf])
+def test_closure_refuses_a_reference_that_is_not_positive_and_finite(qh, warm):
+    with pytest.raises(ConfigurationError, match="reference lateral stretch must be positive"):
+        lateral_closure(qh, Protocol("uniaxial"), 1.2, warm=warm)
+
+
 def test_sweep_matches_pointwise_closed_form(qh):
     tab = sweep(qh, Protocol("uniaxial"), 0.5, 4.0, 40, with_moduli=False)
     closed = tab.lambda1 ** -0.4 * np.log(tab.lambda1)
